@@ -49,9 +49,9 @@ func BenchmarkFig5Sweep(b *testing.B) {
 // BenchmarkPipelineWarmVsCold measures what the session API amortizes: a
 // Fig. 5-style technique sweep (NEUTRAMS, PACMAN, greedy — deterministic,
 // so no optimizer time drowns the signal) on one application, run cold
-// (legacy Run: the problem instance — in-adjacency, spike counts — and the
-// interconnect topology rebuilt for every technique, the pre-Pipeline
-// behavior) versus warm (one NewPipeline serving the whole sweep). The
+// (a single-use session per run: the problem instance — in-adjacency,
+// spike counts — and the interconnect topology rebuilt for every
+// technique) versus warm (one NewPipeline serving the whole sweep). The
 // workload is synapse-heavy and spike-light (366k synapses, a 10 ms
 // characterization) so the per-run construction the session amortizes is
 // visible next to the mapping stages themselves; expect warm to win by
@@ -70,7 +70,7 @@ func BenchmarkPipelineWarmVsCold(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, pt := range techniques {
-				if _, err := Run(app, arch, pt); err != nil {
+				if _, err := runOnce(app, arch, pt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -359,58 +359,17 @@ func BenchmarkNoCReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelReplay measures the region-sharded replay core against
-// the sequential one (w=1) on a saturated interconnect at growing worker
-// counts. Results are bit-identical at every count, so the benchmark is a
-// pure wall-clock comparison; speedups need real cores — on a
-// single-CPU machine the workers time-slice and the sharded core only
-// pays its coordination overhead.
-func BenchmarkParallelReplay(b *testing.B) {
-	for _, kind := range []noc.Kind{noc.Mesh, noc.Tree} {
-		const endpoints = 36
-		cfg := noc.DefaultConfig(kind, endpoints)
-		pkts := replayWorkload(endpoints, true)
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/saturated/w=%d", kind, w), func(b *testing.B) {
-				sim, err := noc.NewSimulator(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim.SetWorkers(w)
-				b.ResetTimer()
-				var delivered int64
-				for i := 0; i < b.N; i++ {
-					sim.Reset()
-					for _, p := range pkts {
-						if err := sim.Inject(p); err != nil {
-							b.Fatal(err)
-						}
-					}
-					res, err := sim.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					delivered = res.Stats.Delivered
-					sim.Reclaim(res)
-				}
-				b.ReportMetric(float64(delivered)*float64(b.N)/b.Elapsed().Seconds(), "deliveries/s")
-			})
-		}
-	}
-}
-
-// BenchmarkRunSeedsBatched compares the two multi-seed sweep paths on one
-// warm session: per-seed pooled simulators (RunSeeds) versus per-worker
-// batched simulators with Reclaimed traces (RunSeedsBatched). Both
-// produce deep-equal reports; the batched path trades pool churn for
-// warm per-chunk reuse.
-func BenchmarkRunSeedsBatched(b *testing.B) {
+// BenchmarkRunSeeds measures a 16-seed PSO sweep on one warm session
+// through a single lane (WithWorkers(1)): one simulator and one injection
+// scratch serve every seed, so the number isolates per-seed replay and
+// analysis cost from sweep scheduling.
+func BenchmarkRunSeeds(b *testing.B) {
 	app, err := BuildSynthetic(AppConfig{Seed: 4, DurationMs: 150}, 2, 100)
 	if err != nil {
 		b.Fatal(err)
 	}
 	arch := ForNeurons(app.Graph.Neurons, 16)
-	pl, err := NewPipeline(app, arch)
+	pl, err := NewPipeline(app, arch, WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -418,23 +377,12 @@ func BenchmarkRunSeedsBatched(b *testing.B) {
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	pso := func() Partitioner {
-		return NewPSO(PSOConfig{SwarmSize: 8, Iterations: 8, Seed: 1, Workers: 1})
+	for i := 0; i < b.N; i++ {
+		pso := NewPSO(PSOConfig{SwarmSize: 8, Iterations: 8, Seed: 1, Workers: 1})
+		if _, err := pl.RunSeeds(context.Background(), pso, seeds); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("perseed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pl.RunSeeds(context.Background(), pso(), seeds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pl.RunSeedsBatched(context.Background(), pso(), seeds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkPlacement measures PlaceCrossbars at growing crossbar counts on

@@ -78,7 +78,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		swarm     = fs.Int("swarm", 100, "PSO swarm size")
 		iters     = fs.Int("iterations", 100, "PSO iterations")
 		parallel  = fs.Int("parallel", 0, "worker pool size for the technique sweep and PSO swarm evaluation (0 = GOMAXPROCS)")
-		replayW   = fs.Int("replay-workers", 0, "shard each interconnect replay across N region workers (bit-identical results; 0/1 = sequential replay)")
 		timeout   = fs.Duration("timeout", 0, "per-technique wall clock limit, e.g. 90s (0 = none)")
 		crossbars = fs.Int("crossbars", 0, "crossbar count (0 = sized from the app)")
 		size      = fs.Int("size", 0, "neurons per crossbar (0 = sized from the app)")
@@ -146,7 +145,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	opts := []snnmap.Option{
-		snnmap.WithWorkers(*parallel), snnmap.WithReplayWorkers(*replayW), snnmap.WithTimeout(*timeout),
+		snnmap.WithWorkers(*parallel), snnmap.WithTimeout(*timeout),
 	}
 	var collector *traceCollector
 	if *trace {
@@ -187,9 +186,9 @@ func run(args []string, stdout io.Writer) (err error) {
 }
 
 // traceCollector records one span tree for a CLI run: a root span with
-// one child per technique and one grandchild per pipeline stage (plus
-// per-shard spans for sharded replays). Compare interleaves stage events
-// from concurrent techniques, so the technique map is mutex-guarded.
+// one child per technique and one grandchild per pipeline stage. Compare
+// interleaves stage events from concurrent techniques, so the technique
+// map is mutex-guarded.
 type traceCollector struct {
 	rec  *obs.Recorder
 	root *obs.Span
@@ -227,14 +226,6 @@ func (t *traceCollector) OnStage(ev snnmap.StageEvent) {
 			obs.Int64("delivered", ev.NoC.Stats.Delivered),
 			obs.Int64("cycles", ev.NoC.Stats.Cycles),
 		)
-		for i, sh := range ev.ReplayShards {
-			c := sp.StartChildAt(fmt.Sprintf("shard %d", i), end.Add(-sh.Elapsed))
-			c.SetAttr(
-				obs.Int("router_lo", sh.Lo), obs.Int("router_hi", sh.Hi),
-				obs.Int64("delivered", sh.Delivered),
-			)
-			c.EndAt(end)
-		}
 	case ev.Metrics != nil:
 		sp.SetAttr(
 			obs.Int64("delivered", ev.Metrics.Delivered),

@@ -91,7 +91,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		queueDepth   = fs.Int("queue", 64, "accepted-job backlog bound; submissions beyond it get 503")
 		jobTimeout   = fs.Duration("job-timeout", 0, "per-job wall clock limit, e.g. 90s (0 = none)")
 		sessions     = fs.Int("sessions", 8, "warm-session pool capacity (pipelines kept hot, LRU)")
-		replayW      = fs.Int("replay-workers", 0, "shard each job's interconnect replay across N region workers (bit-identical results; 0/1 = sequential)")
 		cacheCap     = fs.Int("cache", 256, "result cache capacity (tables kept, LRU)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before running jobs are canceled")
 		version      = fs.Bool("version", false, "print version and exit")
@@ -158,7 +157,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		JobTimeout:      *jobTimeout,
 		SessionCap:      *sessions,
 		CacheCap:        *cacheCap,
-		ReplayWorkers:   *replayW,
 		TracingDisabled: !*tracing,
 		TraceCap:        *traceCap,
 		Log:             slog.Default(),

@@ -112,16 +112,23 @@ func compareTechniques() []Partitioner {
 	}
 }
 
-// TestCompareSweepDeterministicAcrossWorkerCounts verifies the engine's
+// TestCompareDeterministicAcrossWorkerCounts verifies the engine's
 // determinism contract end to end: the same technique sweep produces
 // bit-identical reports sequentially and on a parallel worker pool.
-func TestCompareSweepDeterministicAcrossWorkerCounts(t *testing.T) {
+func TestCompareDeterministicAcrossWorkerCounts(t *testing.T) {
 	app, err := BuildSynthetic(AppConfig{Seed: 4, DurationMs: 250}, 1, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arch := ForNeurons(app.Graph.Neurons, 16)
-	seq, err := CompareSweep(context.Background(), app, arch, compareTechniques(), SweepConfig{Workers: 1})
+	compare := func(workers int) ([]*Report, error) {
+		pl, err := NewPipeline(app, arch, WithWorkers(workers))
+		if err != nil {
+			return nil, err
+		}
+		return pl.Compare(context.Background(), compareTechniques())
+	}
+	seq, err := compare(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestCompareSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("reports = %d", len(seq))
 	}
 	for _, workers := range []int{2, 4} {
-		par, err := CompareSweep(context.Background(), app, arch, compareTechniques(), SweepConfig{Workers: workers})
+		par, err := compare(workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -590,22 +590,7 @@ func runAccuracy(ctx context.Context, pf PipelineFactory, opts ExpOptions) (*Acc
 			if err != nil {
 				return AccuracyRow{}, err
 			}
-			// Reconstruct the UP-channel train as received by the liquid's
-			// crossbars: keep the destination crossbar receiving the most
-			// UP spikes (a duplicate-free stream) and convert arrival cycles
-			// back to milliseconds.
-			arrivalsByDst := map[int][]int64{}
-			for _, d := range rep.Deliveries {
-				if d.SrcNeuron == upNeuron {
-					arrivalsByDst[d.Dst] = append(arrivalsByDst[d.Dst], d.ArriveCycle/arch.CyclesPerMs)
-				}
-			}
-			var arrival []int64
-			for _, a := range arrivalsByDst {
-				if len(a) > len(arrival) {
-					arrival = a
-				}
-			}
+			arrival := upChannelArrivals(rep.Deliveries, upNeuron, arch.Crossbars, arch.CyclesPerMs)
 			arrTrain := toTrain(arrival)
 			est := apps.EstimateBPMMedian(arrTrain, 250, 4)
 			errPct := 0.0
@@ -627,6 +612,27 @@ func runAccuracy(ctx context.Context, pf PipelineFactory, opts ExpOptions) (*Acc
 	}
 	out.Rows = rows
 	return out, nil
+}
+
+// upChannelArrivals reconstructs the UP-channel train as the liquid's
+// crossbars receive it: the arrivals (converted back to milliseconds) at
+// the destination crossbar receiving the most UP spikes, a duplicate-free
+// stream. Destinations are scanned in ascending order, so a tie goes to
+// the lowest crossbar ID and the choice is the same on every run.
+func upChannelArrivals(deliveries []Delivery, upNeuron int32, crossbars int, cyclesPerMs int64) []int64 {
+	byDst := make([][]int64, crossbars)
+	for _, d := range deliveries {
+		if d.SrcNeuron == upNeuron {
+			byDst[d.Dst] = append(byDst[d.Dst], d.ArriveCycle/cyclesPerMs)
+		}
+	}
+	var best []int64
+	for _, a := range byDst {
+		if len(a) > len(best) {
+			best = a
+		}
+	}
+	return best
 }
 
 // AblationRow is one technique's outcome in the optimizer ablation.

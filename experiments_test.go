@@ -197,6 +197,33 @@ func TestRunAccuracyShapes(t *testing.T) {
 	}
 }
 
+// TestUpChannelArrivalsTieGoesToLowestCrossbar pins the accuracy
+// experiment's UP-channel selection: the crossbar receiving the most UP
+// spikes wins, and a tie goes to the lowest crossbar ID on every call.
+func TestUpChannelArrivalsTieGoesToLowestCrossbar(t *testing.T) {
+	const up, cyclesPerMs = 7, 10
+	deliveries := []Delivery{
+		{SrcNeuron: up, Dst: 3, ArriveCycle: 105},
+		{SrcNeuron: 2, Dst: 0, ArriveCycle: 110}, // other neurons never count
+		{SrcNeuron: 2, Dst: 0, ArriveCycle: 120},
+		{SrcNeuron: 2, Dst: 0, ArriveCycle: 130},
+		{SrcNeuron: up, Dst: 1, ArriveCycle: 111},
+		{SrcNeuron: up, Dst: 3, ArriveCycle: 205},
+		{SrcNeuron: up, Dst: 1, ArriveCycle: 219},
+		{SrcNeuron: up, Dst: 2, ArriveCycle: 300},
+	}
+	want := []int64{11, 21} // crossbar 1, tied with crossbar 3 at two spikes
+	// Repeat so a selection that depends on map iteration order fails.
+	for i := 0; i < 50; i++ {
+		if got := upChannelArrivals(deliveries, up, 4, cyclesPerMs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: arrivals = %v, want %v (crossbar 1)", i, got, want)
+		}
+	}
+	if got := upChannelArrivals(nil, up, 4, cyclesPerMs); got != nil {
+		t.Fatalf("no deliveries: arrivals = %v, want nil", got)
+	}
+}
+
 func TestRunOptimizerAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")

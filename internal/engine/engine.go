@@ -34,34 +34,13 @@ type Config struct {
 	Timeout time.Duration
 }
 
-func (c Config) workers() int {
+// Size resolves the worker-pool size a sweep with this configuration
+// runs on: Workers when positive, runtime.GOMAXPROCS(0) otherwise.
+func (c Config) Size() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Budget resolves the nested worker pools of a sweep-of-replays — the
-// outer sweep pool and the inner per-replay worker count — against the
-// machine so defaulted pools never oversubscribe it. Explicit (positive)
-// values are honored as given: a caller setting both dimensions is
-// stating a deliberate concurrency choice (e.g. a GOMAXPROCS matrix leg
-// exercising scheduling variance), and the replay cores are bit-identical
-// at every worker count, so honoring it is always safe — just possibly
-// slower. A non-positive outer is derived from the headroom the inner
-// pool leaves: GOMAXPROCS / inner, floored at 1. A non-positive inner
-// resolves to 1 (sequential replay stays the default).
-func Budget(outer, inner int) (int, int) {
-	if inner < 1 {
-		inner = 1
-	}
-	if outer <= 0 {
-		outer = runtime.GOMAXPROCS(0) / inner
-		if outer < 1 {
-			outer = 1
-		}
-	}
-	return outer, inner
 }
 
 // Result is the outcome of one job: its index in the job slice, the
@@ -93,7 +72,7 @@ func Sweep[J, R any](ctx context.Context, cfg Config, jobs []J, fn func(context.
 	if len(jobs) == 0 {
 		return results
 	}
-	workers := cfg.workers()
+	workers := cfg.Size()
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -177,40 +176,13 @@ func TestSweepNilContextAndEmptyJobs(t *testing.T) {
 }
 
 func TestConfigWorkerDefaults(t *testing.T) {
-	if (Config{}).workers() < 1 {
+	if (Config{}).Size() < 1 {
 		t.Fatal("default workers < 1")
 	}
-	if (Config{Workers: -3}).workers() < 1 {
+	if (Config{Workers: -3}).Size() < 1 {
 		t.Fatal("negative workers not defaulted")
 	}
-	if got := (Config{Workers: 5}).workers(); got != 5 {
+	if got := (Config{Workers: 5}).Size(); got != 5 {
 		t.Fatalf("workers = %d, want 5", got)
-	}
-}
-
-func TestBudget(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	half := procs / 2
-	if half < 1 {
-		half = 1
-	}
-	cases := []struct {
-		outer, inner         int
-		wantOuter, wantInner int
-	}{
-		{0, 0, procs, 1},             // all defaults: full sweep pool, sequential replay
-		{0, 1, procs, 1},             // explicit sequential replay
-		{3, 4, 3, 4},                 // both explicit: honored even if oversubscribed
-		{0, 2, half, 2},              // outer derived from replay headroom
-		{0, 4 * procs, 1, 4 * procs}, // replay wider than the machine: outer floors at 1
-		{-1, -1, procs, 1},           // negatives behave like defaults
-		{1, 0, 1, 1},
-	}
-	for _, c := range cases {
-		o, i := Budget(c.outer, c.inner)
-		if o != c.wantOuter || i != c.wantInner {
-			t.Errorf("Budget(%d, %d) = (%d, %d), want (%d, %d)",
-				c.outer, c.inner, o, i, c.wantOuter, c.wantInner)
-		}
 	}
 }

@@ -19,7 +19,7 @@
 //   - Batching: POST /v1/batches is scattered by ring owner and, on
 //     each worker, grouped by session key so a warm session is built at
 //     most once per batch (internal/service.handleBatch); tech_seeds
-//     sweeps run through Pipeline.RunSeedsBatched.
+//     sweeps run through Pipeline.RunSeeds.
 //
 //   - Robustness: workers shed load from bounded per-tenant fair queues
 //     (429 + Retry-After, which the router spills to ring successors);

@@ -660,21 +660,23 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, ro.rewrite(st))
 }
 
-// handleStatus reports a job's status. Terminal routes answer from the
-// router's snapshot (terminal statuses never change, and must survive
-// the worker that produced them); live routes are proxied, and a dead
-// or amnesiac worker (connection failure, or 404 from a restarted
+// handleStatus reports a job's status. A route whose stored status is
+// terminal answers from the router's snapshot (terminal statuses never
+// change, and must survive the worker that produced them). Every other
+// route is proxied — including one an SSE relay marked terminal without
+// fetching the final status, which is then stored for the next call. A
+// dead or amnesiac worker (connection failure, or 404 from a restarted
 // process that lost its store) triggers a requeue.
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 	ro, ok := rt.resolve(w, r)
 	if !ok {
 		return
 	}
-	node, remoteID, terminal := ro.snapshot()
-	if terminal {
-		writeJSON(w, http.StatusOK, ro.lastStatus())
+	if st := ro.lastStatus(); isTerminal(st.State) {
+		writeJSON(w, http.StatusOK, st)
 		return
 	}
+	node, remoteID, _ := ro.snapshot()
 	resp, err := rt.doJSON(r.Context(), http.MethodGet, node, "/v1/jobs/"+remoteID, nil, "")
 	if err != nil {
 		rt.metrics.proxyError()

@@ -419,6 +419,40 @@ func TestRouterSSESlowSubscriber(t *testing.T) {
 	}
 }
 
+// TestRouterStatusAfterSSE pins the router's status after an SSE relay:
+// the relay sees the terminal state event and marks the route terminal
+// without fetching the final status, so the next GET must still reach
+// the worker once and report done with the result link and finish time
+// instead of the status stored at submit.
+func TestRouterStatusAfterSSE(t *testing.T) {
+	workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	_, base := startRouter(t, workers)
+
+	st := submitVia(t, base, tinyFleetSpec(), http.StatusAccepted)
+	resp, err := http.Get(base + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(stream), `"state":"done"`) {
+		t.Fatalf("event stream ended before done:\n%s", stream)
+	}
+
+	for i := 0; i < 2; i++ { // the second read answers from the stored status
+		got := statusVia(t, base, st.ID)
+		if got.State != service.JobDone || got.Result == "" || got.Finished == nil {
+			t.Fatalf("status read %d after SSE = %+v, want done with Result and Finished set", i, got)
+		}
+		if got.ID != st.ID {
+			t.Fatalf("status read %d ID = %s, want the router's %s", i, got.ID, st.ID)
+		}
+	}
+}
+
 // TestRouterCancelPropagates pins DELETE propagation router→worker
 // mid-replay: the cancel lands on the owning worker while the job is
 // running and the job reaches canceled promptly on both sides.

@@ -75,7 +75,7 @@ func fleetSpanNames(tree *obs.Tree) map[string]int {
 // span and the worker's job, queue-wait and pipeline-stage spans —
 // retrievable from the router.
 func TestTraceAcrossRouterHop(t *testing.T) {
-	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1, ReplayWorkers: 2} }, false)
+	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false)
 	_, base := startRouter(t, workers)
 
 	st := submitTraced(t, base, tinyFleetSpec())
@@ -89,7 +89,7 @@ func TestTraceAcrossRouterHop(t *testing.T) {
 		t.Fatalf("trace ID = %s, want the client's %s", tree.TraceID, clientTraceID)
 	}
 	names := fleetSpanNames(tree)
-	for _, want := range []string{"router.proxy", "job", "queue.wait", "cache.lookup", "run", "session", "technique", "partition", "place", "simulate", "analyze", "shard 0", "shard 1"} {
+	for _, want := range []string{"router.proxy", "job", "queue.wait", "cache.lookup", "run", "session", "technique", "partition", "place", "simulate", "analyze"} {
 		if names[want] == 0 {
 			t.Errorf("merged trace missing %q span; have %v", want, names)
 		}

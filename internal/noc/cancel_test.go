@@ -119,68 +119,3 @@ func TestRunCancelMidReplay(t *testing.T) {
 		t.Fatalf("stats after cancel+Reset = %+v, want %+v", got.Stats, want.Stats)
 	}
 }
-
-// TestRunCancelMidReplayParallel proves SetContext aborts the region
-// workers mid-window — every worker observes the shared abort flag and
-// exits without waiting out its producers — and that Reset afterwards
-// recovers the simulator to bit-identity with an untouched sequential
-// run. This is the parallel-core counterpart of TestRunCancelMidReplay.
-func TestRunCancelMidReplayParallel(t *testing.T) {
-	const endpoints = 36
-	spikes := 400
-	if testing.Short() {
-		spikes = 150
-	}
-	cfg := DefaultConfig(Mesh, endpoints)
-
-	base, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancelWorkload(t, base, endpoints, spikes)
-	start := time.Now()
-	want, err := base.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := time.Since(start)
-
-	sim := base.Fork()
-	// Two workers keep the GOMAXPROCS=1 spin overhead of the uncanceled
-	// rerun below a couple of seconds while still crossing a region
-	// boundary mid-window.
-	sim.SetWorkers(2)
-	cancelWorkload(t, sim, endpoints, spikes)
-	ctx, cancel := context.WithCancel(context.Background())
-	sim.SetContext(ctx)
-	delay := baseline / 20
-	timer := time.AfterFunc(delay, cancel)
-	defer timer.Stop()
-	start = time.Now()
-	_, err = sim.Run()
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.Canceled) {
-		if err == nil && baseline < 10*time.Millisecond {
-			t.Skipf("replay finished in %v before the %v cancel fired", elapsed, delay)
-		}
-		t.Fatalf("canceled parallel Run = %v, want context.Canceled", err)
-	}
-	if elapsed > baseline/2+50*time.Millisecond {
-		t.Fatalf("parallel cancellation latency %v too close to the full replay %v", elapsed, baseline)
-	}
-
-	// Reset recovers the aborted parallel simulator completely; the rerun
-	// stays on the parallel core and must match the sequential baseline.
-	sim.Reset()
-	if sim.ReplayWorkers() != 2 {
-		t.Fatal("Reset cleared the worker configuration")
-	}
-	cancelWorkload(t, sim, endpoints, spikes)
-	got, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats != want.Stats {
-		t.Fatalf("stats after parallel cancel+Reset = %+v, want %+v", got.Stats, want.Stats)
-	}
-}

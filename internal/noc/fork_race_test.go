@@ -9,9 +9,8 @@ import (
 // TestForkedSimulatorsRaceFree hammers the Fork contract under the race
 // detector: many goroutines fork one prototype and replay the SAME packet
 // workload — sharing the prototype's immutable topology, route table, and
-// per-port geometry as well as the packets' destination masks — while
-// mixing sequential and region-sharded replay cores and warm
-// Reset+Reclaim reuse. Every replica must reproduce the baseline result
+// per-port geometry as well as the packets' destination masks — with
+// warm Reset reuse. Every replica must reproduce the baseline result
 // bit-for-bit; any write to shared immutable structure shows up as a race
 // report, any aliasing bug as a diverging replica.
 func TestForkedSimulatorsRaceFree(t *testing.T) {
@@ -57,9 +56,6 @@ func TestForkedSimulatorsRaceFree(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				sim := proto.Fork()
-				// Replicas alternate replay cores; the sharded core adds
-				// its own internal concurrency on top of the fork fan-out.
-				sim.SetWorkers([]int{1, 2, 4}[g%3])
 				for it := 0; it < iters; it++ {
 					for _, p := range pkts {
 						if err := sim.Inject(p); err != nil {
@@ -76,7 +72,6 @@ func TestForkedSimulatorsRaceFree(t *testing.T) {
 						t.Errorf("%v: replica %d iter %d diverged from baseline", kind, g, it)
 						return
 					}
-					sim.Reclaim(res)
 					sim.Reset()
 				}
 			}(g)

@@ -112,65 +112,10 @@ func TestSimulatorResetClearsState(t *testing.T) {
 	}
 }
 
-// TestReclaimReusesTraceCapacity pins the warm-session reuse contract:
-// a Reclaimed trace is refilled in place by the next Run (pointer-equal
-// backing array), while a Result that is NOT Reclaimed keeps its trace
-// untouched across Reset+Run cycles.
-func TestReclaimReusesTraceCapacity(t *testing.T) {
-	cfg := DefaultConfig(Mesh, 9)
-	s, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	injectWorkload(t, s, 9, 7)
-	res1, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res1.Deliveries) == 0 {
-		t.Fatal("workload produced no deliveries")
-	}
-	first := &res1.Deliveries[0]
-
-	// Without Reclaim the next run must allocate its own trace.
-	s.Reset()
-	injectWorkload(t, s, 9, 7)
-	res2, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &res2.Deliveries[0] == first {
-		t.Fatal("Run reused a trace that was never Reclaimed")
-	}
-
-	// Reclaimed capacity is refilled in place.
-	s.Reclaim(res2)
-	if res2.Deliveries != nil {
-		t.Fatal("Reclaim left the Result referencing the donated trace")
-	}
-	donated := first
-	s.Reclaim(res1) // bigger-or-equal capacity wins; res1 was first, same size
-	s.Reset()
-	injectWorkload(t, s, 9, 7)
-	res3, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &res3.Deliveries[0] != donated {
-		// Either donated buffer is acceptable; both have the capacity.
-		if cap(res3.Deliveries) < len(res3.Deliveries) || res3.Deliveries == nil {
-			t.Fatal("Run ignored the Reclaimed trace")
-		}
-	}
-	if !reflect.DeepEqual(res3.Stats, res1.Stats) {
-		t.Fatalf("trace reuse changed results:\n got %+v\nwant %+v", res3.Stats, res1.Stats)
-	}
-}
-
 // TestResetRunAllocsWarm bounds the steady-state allocation count of a
-// warm Reset+Inject+Run+Reclaim cycle: with the flight free-list and the
-// Reclaimed trace both surviving Reset, a repeat replay allocates only
-// per-run bookkeeping (injection queue, NI order), not flights or trace.
+// warm Reset+Inject+Run cycle: with the flight free-list surviving
+// Reset, a repeat replay allocates only per-run bookkeeping (injection
+// queue, NI order, the trace buffer), not flights.
 func TestResetRunAllocsWarm(t *testing.T) {
 	cfg := DefaultConfig(Mesh, 16)
 	s, err := NewSimulator(cfg)
@@ -186,20 +131,18 @@ func TestResetRunAllocsWarm(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := s.Run()
-		if err != nil {
+		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		s.Reclaim(res)
 		s.Reset()
 	}
-	warm() // populate free-list and trace capacity
+	warm() // populate the free-list
 	allocs := testing.AllocsPerRun(5, warm)
 	// The cold path allocates one flight + mask per packet plus the trace
 	// (hundreds of allocations); the warm path is per-run bookkeeping
-	// (injection queue, NI order, sort scratch) — about 75 for this
-	// 120-packet workload. The bound is loose to stay robust across
-	// runtimes while still catching a free-list or trace regression.
+	// (injection queue, NI order, sort scratch, one trace buffer) — about
+	// 75 for this 120-packet workload. The bound is loose to stay robust
+	// across runtimes while still catching a free-list regression.
 	if allocs > 120 {
 		t.Fatalf("warm Reset+Run allocates too much: %.0f allocs/run", allocs)
 	}

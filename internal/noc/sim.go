@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sort"
 )
 
 // Config parameterizes the interconnect simulator. The configurable
@@ -275,16 +276,13 @@ type Simulator struct {
 	portWanted [][]uint64
 	wide       bool
 
-	pending  []Packet // injection requests, sorted at Run
-	arrivals arrivalQueue
-	nextID   int64
-	nextSeq  int64
-	result   Result
-	// shardStats records per-region replay timing of the last sharded
-	// Run (nil for sequential runs); see ShardStats.
-	shardStats []ShardStat
-	endpointR  []int // endpoint -> router
-	routerE    []int // router -> endpoint or -1
+	pending   []Packet // injection requests, sorted at Run
+	arrivals  arrivalQueue
+	nextID    int64
+	nextSeq   int64
+	result    Result
+	endpointR []int // endpoint -> router
+	routerE   []int // router -> endpoint or -1
 
 	// routeTable[r][dst] caches topology.Route for O(1) lookups.
 	routeTable [][]uint8
@@ -320,17 +318,6 @@ type Simulator struct {
 	// ran guards against state corruption from Run-after-Run or
 	// Inject-after-Run without an intervening Reset.
 	ran bool
-
-	// workers selects the replay core (SetWorkers): > 1 enables the
-	// region-sharded parallel core. Configuration-like: it survives
-	// Reset and is inherited by Fork.
-	workers int
-
-	// trace is delivery-trace capacity donated back via Reclaim; the next
-	// Run fills it in place instead of allocating. Like the flight
-	// free-list it survives Reset, so warm Reset+Run cycles on repeat
-	// traffic stop reallocating.
-	trace []Delivery
 }
 
 // NewSimulator validates the configuration and builds the topology.
@@ -444,7 +431,6 @@ func (s *Simulator) Fork() *Simulator {
 		portMask:   s.portMask,
 		neighR:     s.neighR,
 		neighP:     s.neighP,
-		workers:    s.workers,
 	}
 	n.allocMutableState()
 	return n
@@ -480,21 +466,9 @@ func (s *Simulator) Reset() {
 	s.nextID = 0
 	s.nextSeq = 0
 	s.result = Result{}
-	s.shardStats = nil
 	s.sink = nil
 	s.ctx = nil
 	s.ran = false
-}
-
-// ShardStats reports the per-region timing of the last sharded Run: one
-// entry per replay worker with its router range and wall-clock busy
-// time. Empty after a sequential run (or before any run) — the timings
-// feed observability spans, so they live beside Result rather than in
-// it, keeping Result bit-identical across worker counts.
-func (s *Simulator) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(s.shardStats))
-	copy(out, s.shardStats)
-	return out
 }
 
 // route returns the cached output port at router r toward endpoint dst.
@@ -547,35 +521,6 @@ func (s *Simulator) allocFlight(srcNeuron int32, src int, createdMs, createdCycl
 
 // freeFlight returns a fully served flight (empty mask) to the free-list.
 func (s *Simulator) freeFlight(f *flight) { s.free = append(s.free, f) }
-
-// Reclaim donates the delivery-trace capacity of a Result the caller has
-// finished with back to the simulator: the next Run reuses the backing
-// array instead of allocating a fresh trace. Only call it when nothing
-// else retains res or a sub-slice of res.Deliveries — the donated array
-// is overwritten by the next Run. Results that are never Reclaimed stay
-// untouched (Reset alone never recycles a returned trace), and donated
-// capacity survives Reset like the flight free-list.
-func (s *Simulator) Reclaim(res *Result) {
-	if res == nil {
-		return
-	}
-	if d := res.Deliveries; cap(d) > cap(s.trace) {
-		s.trace = d[:0]
-	}
-	res.Deliveries = nil
-}
-
-// traceBuf returns a delivery buffer with the given capacity, reusing
-// Reclaimed capacity when it suffices. Ownership moves to the caller's
-// Result until the trace is Reclaimed again.
-func (s *Simulator) traceBuf(totalDst int) []Delivery {
-	if cap(s.trace) >= totalDst {
-		b := s.trace[:0]
-		s.trace = nil
-		return b
-	}
-	return make([]Delivery, 0, totalDst)
-}
 
 // updateHeadWants recomputes the want-mask of input FIFO in at router r
 // after its head flight changed (push to empty, pop, or an in-place
@@ -641,26 +586,11 @@ func (s *Simulator) Inject(p Packet) error {
 // statistics with the full delivery trace. Run may only be called once
 // per injection cycle — a second Run without an intervening Reset returns
 // an error instead of silently replaying corrupted state.
-//
-// With SetWorkers(n > 1) the replay executes on the region-sharded
-// parallel core (bit-identical results); topologies too small to shard
-// fall back to this sequential core.
 func (s *Simulator) Run() (*Result, error) {
 	if s.ran {
 		return nil, errors.New("noc: Run already called on this simulator; call Reset before running again")
 	}
 	s.ran = true
-	if s.workers > 1 {
-		if plan := s.regionPlan(s.workers); plan != nil {
-			return s.runSharded(plan)
-		}
-	}
-	return s.runSeq()
-}
-
-// runSeq is the sequential event-driven replay core — the reference the
-// parallel core is pinned against.
-func (s *Simulator) runSeq() (*Result, error) {
 	var done <-chan struct{}
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
@@ -687,7 +617,7 @@ func (s *Simulator) runSeq() (*Result, error) {
 
 	s.result.Stats.Injected = int64(len(queue))
 	if s.sink == nil && totalDst > 0 {
-		s.result.Deliveries = s.traceBuf(totalDst)
+		s.result.Deliveries = make([]Delivery, 0, totalDst)
 	}
 
 	var now int64
@@ -978,6 +908,37 @@ func (s *Simulator) runSeq() (*Result, error) {
 	// stays owned by the caller.
 	res := s.result
 	return &res, nil
+}
+
+// buildInjection expands the pending packets into their initial flights
+// (unicast expansion when multicast is off), ordered by creation cycle
+// with injection order as the tie-break.
+func (s *Simulator) buildInjection() (queue []*flight, totalDst int) {
+	queue = make([]*flight, 0, len(s.pending))
+	for i := range s.pending {
+		p := &s.pending[i]
+		cc := p.CreatedMs * s.cfg.CyclesPerMs
+		if s.cfg.Multicast {
+			f := s.allocFlight(p.SrcNeuron, p.Src, p.CreatedMs, cc)
+			copy(f.dst, p.Dst)
+			totalDst += f.dst.Count()
+			queue = append(queue, f)
+		} else {
+			p.Dst.ForEach(func(d int) {
+				f := s.allocFlight(p.SrcNeuron, p.Src, p.CreatedMs, cc)
+				f.dst.Set(d)
+				totalDst++
+				queue = append(queue, f)
+			})
+		}
+	}
+	sort.SliceStable(queue, func(i, j int) bool {
+		if queue[i].createdCycle != queue[j].createdCycle {
+			return queue[i].createdCycle < queue[j].createdCycle
+		}
+		return queue[i].id < queue[j].id
+	})
+	return queue, totalDst
 }
 
 func (s *Simulator) stallError(outstanding int64) error {

@@ -79,7 +79,7 @@ func TestBatchEndpoint(t *testing.T) {
 
 // TestBatchTechSeeds pins the tech_seeds execution path end to end: a
 // seed-sweep job's table is byte-identical to driving
-// Pipeline.RunSeedsBatched directly with the same canonical inputs.
+// Pipeline.RunSeeds directly with the same canonical inputs.
 func TestBatchTechSeeds(t *testing.T) {
 	spec := snnmap.JobSpec{
 		App:        "gen:modular:n=48,dur=120,seed=5",
@@ -101,7 +101,7 @@ func TestBatchTechSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := pipe.RunSeedsBatched(context.Background(), pts[0], norm.TechSeeds)
+	reports, err := pipe.RunSeeds(context.Background(), pts[0], norm.TechSeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestBatchTechSeeds(t *testing.T) {
 		t.Fatalf("sweep job %s (%s)", st.State, st.Error)
 	}
 	if got := fetchResult(t, h, st.ID, "csv"); !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("service sweep CSV differs from RunSeedsBatched:\n--- service ---\n%s\n--- direct ---\n%s", got, want.Bytes())
+		t.Fatalf("service sweep CSV differs from RunSeeds:\n--- service ---\n%s\n--- direct ---\n%s", got, want.Bytes())
 	}
 
 	// The SSE stream carries the sweep marker instead of per-stage spam.

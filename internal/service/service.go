@@ -68,12 +68,6 @@ type Config struct {
 	// construction; the daemon's default of 1 keeps one job ≈ one core
 	// so the executor pool is the only concurrency knob.
 	PipelineWorkers int
-	// ReplayWorkers shards each job's interconnect replay across N region
-	// workers (snnmap.WithReplayWorkers). Replay results are bit-identical
-	// at every worker count, so this is a deployment knob — it is
-	// deliberately NOT part of JobSpec or its content address; 0/1 keeps
-	// the sequential replay core.
-	ReplayWorkers int
 	// FetchPeer, when set, is the second tier of the result cache: on a
 	// local miss the submit path asks it for the content address before
 	// queueing a recompute. The fleet layer implements it as a GET
@@ -181,13 +175,9 @@ func New(cfg Config) *Server {
 		s.tracer = obs.NewRecorder(cfg.TraceCap)
 	}
 	s.pool = newSessionPool(cfg.SessionCap, func(spec snnmap.JobSpec) (*snnmap.Pipeline, error) {
-		// Streaming delivery: job results are aggregate tables, so the
-		// replay never accumulates the full delivery trace (bit-identical
-		// reports either way).
-		return snnmap.NewSessionPipeline(spec,
-			snnmap.WithStreamingDelivery(true),
-			snnmap.WithWorkers(cfg.PipelineWorkers),
-			snnmap.WithReplayWorkers(cfg.ReplayWorkers))
+		// Job results are aggregate tables, so no option asks for the
+		// delivery trace and every replay streams into the metrics.
+		return snnmap.NewSessionPipeline(spec, snnmap.WithWorkers(cfg.PipelineWorkers))
 	})
 	s.metrics.cacheEntries = s.cache.len
 	s.metrics.poolEntries = s.pool.len
@@ -311,7 +301,7 @@ func (s *Server) runJob(j *job, gs *groupSession) {
 	j.events.close()
 }
 
-// execute runs the job's technique sweep (or batched seed sweep) on its
+// execute runs the job's technique sweep (or seed sweep) on its
 // warm session.
 func (s *Server) execute(ctx context.Context, j *job, gs *groupSession) (*snnmap.Table, error) {
 	_, sessSp := obs.StartChild(ctx, "session")
@@ -329,19 +319,19 @@ func (s *Server) execute(ctx context.Context, j *job, gs *groupSession) (*snnmap
 	}
 
 	if len(j.spec.TechSeeds) > 0 {
-		// Batched seed sweep: the single technique re-seeded per entry
-		// through Pipeline.RunSeedsBatched — one pooled fork and one
-		// injection scratch serve the whole sweep, one report row per
-		// seed. The batched path has no per-run observer, so the SSE
-		// stream carries a single sweep event instead of per-stage ones
-		// and the trace a single sweep span instead of stage spans.
+		// Seed sweep: the single technique re-seeded per entry through
+		// Pipeline.RunSeeds — one pooled fork and one injection scratch
+		// serve the whole sweep, one report row per seed. The sweep has
+		// no per-run observer, so the SSE stream carries a single sweep
+		// event instead of per-stage ones and the trace a single sweep
+		// span instead of stage spans.
 		j.events.append("sweep", map[string]any{
 			"technique": j.spec.Techniques[0], "seeds": len(j.spec.TechSeeds)})
 		_, sweepSp := obs.StartChild(ctx, "sweep")
 		sweepSp.SetAttr(
 			obs.String("technique", j.spec.Techniques[0]),
 			obs.Int("seeds", len(j.spec.TechSeeds)))
-		reports, err := pipe.RunSeedsBatched(ctx, pts[0], j.spec.TechSeeds)
+		reports, err := pipe.RunSeeds(ctx, pts[0], j.spec.TechSeeds)
 		sweepSp.End()
 		if err != nil {
 			return nil, err

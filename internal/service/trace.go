@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"time"
 
@@ -112,16 +111,7 @@ func stageSpan(parent *obs.Span, ev snnmap.StageEvent) {
 			obs.Int64("injected", ev.NoC.Stats.Injected),
 			obs.Int64("delivered", ev.NoC.Stats.Delivered),
 			obs.Int64("cycles", ev.NoC.Stats.Cycles),
-			obs.Int("replay_workers", max(1, len(ev.ReplayShards))),
 		)
-		for i, sh := range ev.ReplayShards {
-			c := sp.StartChildAt(fmt.Sprintf("shard %d", i), end.Add(-sh.Elapsed))
-			c.SetAttr(
-				obs.Int("router_lo", sh.Lo), obs.Int("router_hi", sh.Hi),
-				obs.Int64("delivered", sh.Delivered),
-			)
-			c.EndAt(end)
-		}
 	case ev.Metrics != nil:
 		sp.SetAttr(
 			obs.Int64("delivered", ev.Metrics.Delivered),

@@ -53,9 +53,9 @@ func findSpans(tree *obs.Tree, name string) []*obs.SpanNode {
 // TestJobTracePropagatesTraceparent is the worker-side propagation
 // test: a submission carrying a W3C traceparent header yields a span
 // tree on the remote trace ID, covering admission queue wait, session
-// and technique setup, every pipeline stage, and the sharded replay.
+// and technique setup, and every pipeline stage.
 func TestJobTracePropagatesTraceparent(t *testing.T) {
-	_, h := newTestServer(t, Config{Workers: 1, ReplayWorkers: 2})
+	_, h := newTestServer(t, Config{Workers: 1})
 
 	b, err := json.Marshal(tinySpec())
 	if err != nil {
@@ -86,15 +86,6 @@ func TestJobTracePropagatesTraceparent(t *testing.T) {
 	// tinySpec runs two techniques; each records its own stage spans.
 	if names["technique"] != 2 || names["simulate"] != 2 {
 		t.Errorf("technique/simulate spans = %d/%d, want 2/2: %v", names["technique"], names["simulate"], names)
-	}
-	// ReplayWorkers=2 shards the replay: each simulate span carries its
-	// shard children, and the shard attrs cover the router range.
-	shards := findSpans(tree, "shard 0")
-	if len(shards) != 2 || len(findSpans(tree, "shard 1")) != 2 {
-		t.Fatalf("shard spans = %d/%d, want 2/2 (one pair per technique)", len(shards), len(findSpans(tree, "shard 1")))
-	}
-	if shards[0].Attrs["router_lo"] == "" || shards[0].Attrs["delivered"] == "" {
-		t.Errorf("shard span lacks replay attrs: %v", shards[0].Attrs)
 	}
 	// The job root carries the terminal state; stage durations are
 	// non-negative and stamped.

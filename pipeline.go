@@ -64,13 +64,10 @@ type StageEvent struct {
 	Partition *partition.Result
 	// Placement is set after StagePlace: the relabelled assignment.
 	Placement Assignment
-	// NoC is set after StageSimulate.
+	// NoC is set after StageSimulate. Its Deliveries are empty unless
+	// the pipeline keeps the trace (WithTrace, WithSimulate or
+	// WithAnalyze); otherwise the run streams its analysis.
 	NoC *noc.Result
-	// ReplayShards is set after StageSimulate when the replay ran on the
-	// sharded parallel core: one entry per replay worker with its router
-	// range and busy time (empty for sequential replays). Observability
-	// consumers turn these into per-shard trace spans.
-	ReplayShards []noc.ShardStat
 	// Metrics is set after StageAnalyze.
 	Metrics *MetricsReport
 }
@@ -115,15 +112,13 @@ type AnalyzeFunc func(deliveries []Delivery, durationMs int64) MetricsReport
 
 // pipelineOptions is the resolved functional-option state of a Pipeline.
 type pipelineOptions struct {
-	keepTrace     bool
-	streaming     bool
-	timeout       time.Duration
-	workers       int
-	replayWorkers int
-	observer      Observer
-	place         PlaceFunc
-	simulate      SimulateFunc
-	analyze       AnalyzeFunc
+	keepTrace bool
+	timeout   time.Duration
+	workers   int
+	observer  Observer
+	place     PlaceFunc
+	simulate  SimulateFunc
+	analyze   AnalyzeFunc
 }
 
 // Option configures a Pipeline at construction.
@@ -135,19 +130,14 @@ func WithTrace(keep bool) Option {
 	return func(o *pipelineOptions) { o.keepTrace = keep }
 }
 
-// WithStreamingDelivery computes the SNN metrics from a streaming
-// accumulator fed directly by the simulator (noc.Simulator.SetDeliverySink
-// into metrics.Accumulator) instead of accumulating the full delivery
-// trace — aggregate-only runs then never allocate the trace, whose size
-// scales with total spike fan-out. The resulting Report is bit-identical
-// to the default path (see TestPipelineStreamingDeliveryMatchesDefault).
+// WithStreamingDelivery is a no-op kept for source compatibility.
 //
-// Streaming is ignored when the run needs the trace anyway: WithTrace
-// retention, or a custom WithSimulate/WithAnalyze stage. Observers of
-// StageSimulate see a NoC result whose Deliveries slice is empty while
-// streaming is active.
-func WithStreamingDelivery(enable bool) Option {
-	return func(o *pipelineOptions) { o.streaming = enable }
+// Deprecated: streaming analysis is automatic. Every run whose delivery
+// trace has no other consumer (no WithTrace, WithSimulate or WithAnalyze)
+// computes its metrics from a metrics.Accumulator fed by the simulator's
+// delivery sink and never allocates the trace.
+func WithStreamingDelivery(bool) Option {
+	return func(*pipelineOptions) {}
 }
 
 // WithTimeout bounds each Run's wall clock. The limit is cooperative:
@@ -161,20 +151,6 @@ func WithTimeout(d time.Duration) Option {
 // (Compare, RunSeeds). 0 selects GOMAXPROCS; 1 runs sequentially.
 func WithWorkers(n int) Option {
 	return func(o *pipelineOptions) { o.workers = n }
-}
-
-// WithReplayWorkers shards each run's interconnect replay across n region
-// workers (noc.Simulator.SetWorkers): the router grid is split into
-// contiguous regions that advance under conservative windowed lookahead,
-// exchanging boundary flits through mailboxes. Replay results are
-// bit-identical at every worker count, so this is purely a wall-clock
-// knob for replay-dominated sessions; 0 or 1 keeps the sequential replay
-// core, as do interconnects too small to shard. When the sweep pool
-// (WithWorkers) is left defaulted, it is sized to GOMAXPROCS/n so sweep ×
-// replay parallelism does not oversubscribe the machine (engine.Budget);
-// setting both explicitly is honored as given.
-func WithReplayWorkers(n int) Option {
-	return func(o *pipelineOptions) { o.replayWorkers = n }
 }
 
 // WithObserver registers an observer for stage-completion events.
@@ -212,7 +188,7 @@ func WithAnalyze(f AnalyzeFunc) Option {
 // Every run draws a simulator from an internal pool (forked from the
 // session prototype, sharing its immutable topology and route table), so
 // concurrent runs never contend on simulator state and a warm session's
-// reports stay byte-identical to cold Run calls.
+// reports stay byte-identical to those of single-use sessions.
 type Pipeline struct {
 	app  *App
 	arch Arch
@@ -247,13 +223,6 @@ func NewPipeline(app *App, arch Arch, opts ...Option) (*Pipeline, error) {
 	pl.proto, err = noc.NewSimulator(arch.NoCConfig())
 	if err != nil {
 		return nil, err
-	}
-	// Resolve the nested worker pools before the prototype is pooled:
-	// forks inherit the prototype's replay-worker setting, so SetWorkers
-	// must precede sims.New/Put.
-	pl.opts.workers, pl.opts.replayWorkers = engine.Budget(pl.opts.workers, pl.opts.replayWorkers)
-	if pl.opts.replayWorkers > 1 {
-		pl.proto.SetWorkers(pl.opts.replayWorkers)
 	}
 	app.Graph.CSR() // force the memoized adjacency build into the session setup
 	pl.counts = app.Graph.SpikeCounts()
@@ -302,9 +271,9 @@ func (pl *Pipeline) observe(extra Observer, ev StageEvent) {
 }
 
 // Run executes the staged pipeline for one partitioning technique and
-// returns the same Report the package-level Run produces — byte-identical
-// for identical inputs, with the per-pair setup amortized across the
-// session (see TestPipelineMatchesLegacyRun).
+// returns the same Report a single-use session would — byte-identical for
+// identical inputs, with the per-pair setup amortized across the session
+// (see TestPipelineWarmMatchesCold).
 //
 // Cancellation: besides the between-stage checks, ctx is threaded into
 // the placement descent (per 2-opt row) and the interconnect replay (per
@@ -323,20 +292,23 @@ func (pl *Pipeline) Run(ctx context.Context, pt Partitioner) (*Report, error) {
 func (pl *Pipeline) RunObserved(ctx context.Context, pt Partitioner, obs Observer) (*Report, error) {
 	sim := pl.sims.Get().(*noc.Simulator)
 	defer pl.sims.Put(sim)
-	rep, _, err := pl.runWith(ctx, sim, &trafficScratch{singleton: pl.singleton}, pt, obs)
-	return rep, err
+	return pl.runWith(ctx, sim, &trafficScratch{singleton: pl.singleton}, pt, obs)
 }
 
 // runWith is the staged run on a caller-provided simulator and injection
 // scratch. It is the common core of RunObserved (which draws both from
-// the session pool per call) and RunSeedsBatched (which holds one of each
-// per sweep worker across a whole seed chunk). The raw NoC result is
-// returned alongside the report so the batched path can Reclaim its
-// delivery trace into the simulator once no other consumer can be
-// holding it.
-func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *trafficScratch, pt Partitioner, obs Observer) (*Report, *noc.Result, error) {
+// the session pool per call) and RunSeeds (which holds one of each per
+// sweep worker across a whole seed chunk).
+//
+// The analysis route follows from who else consumes the delivery trace:
+// with no WithTrace, WithSimulate or WithAnalyze, the simulator streams
+// every delivery into a metrics.Accumulator and the trace is never
+// built; otherwise the trace is kept and metrics.Analyze (or the
+// caller's stage) reads it. Both routes report bit-identical metrics
+// (see TestPipelineStreamingMatchesTrace).
+func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *trafficScratch, pt Partitioner, obs Observer) (*Report, error) {
 	if pt == nil {
-		return nil, nil, errors.New("snnmap: nil partitioner")
+		return nil, errors.New("snnmap: nil partitioner")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -347,18 +319,18 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("snnmap: pipeline run not started: %w", err)
+		return nil, fmt.Errorf("snnmap: pipeline run not started: %w", err)
 	}
 
 	// Stage 1 — partition.
 	start := time.Now()
 	res, err := partition.Solve(pt, pl.problem)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pl.observe(obs, StageEvent{Stage: StagePartition, Technique: res.Technique, Elapsed: time.Since(start), Partition: res})
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("snnmap: %s: aborted after partition: %w", res.Technique, err)
+		return nil, fmt.Errorf("snnmap: %s: aborted after partition: %w", res.Technique, err)
 	}
 
 	// Stage 2 — place.
@@ -374,11 +346,11 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 	// against the placed one.
 	placed, err := place(pl.problem, res.Assign, sim.HopDistance)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pl.observe(obs, StageEvent{Stage: StagePlace, Technique: res.Technique, Elapsed: time.Since(start), Placement: placed})
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("snnmap: %s: aborted after placement: %w", res.Technique, err)
+		return nil, fmt.Errorf("snnmap: %s: aborted after placement: %w", res.Technique, err)
 	}
 
 	rep := &Report{
@@ -395,7 +367,7 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 
 	local, err := hardware.LocalActivityCounts(pl.app.Graph, pl.counts, placed, pl.arch)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep.LocalEvents = local.Events
 	rep.LocalEnergyPJ = local.EnergyPJ
@@ -412,24 +384,21 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 		// loop; sims without one skip the polling entirely.
 		sim.SetContext(ctx)
 	}
-	// Streaming only engages when the delivery trace has no other
-	// consumer: no trace retention and no caller-supplied simulate or
-	// analyze stage.
 	var acc *metrics.Accumulator
-	if pl.opts.streaming && !pl.opts.keepTrace && pl.opts.simulate == nil && pl.opts.analyze == nil {
+	if !pl.opts.keepTrace && pl.opts.simulate == nil && pl.opts.analyze == nil {
 		acc = metrics.NewAccumulator()
 		sim.SetDeliverySink(acc.Add)
 	}
 	nocRes, err := simulate(sim, pl.app.Graph, placed, pl.arch)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep.NoC = nocRes.Stats
 	rep.GlobalEnergyPJ = nocRes.Stats.EnergyPJ
 	rep.TotalEnergyPJ = rep.LocalEnergyPJ + rep.GlobalEnergyPJ
-	pl.observe(obs, StageEvent{Stage: StageSimulate, Technique: res.Technique, Elapsed: time.Since(start), NoC: nocRes, ReplayShards: sim.ShardStats()})
+	pl.observe(obs, StageEvent{Stage: StageSimulate, Technique: res.Technique, Elapsed: time.Since(start), NoC: nocRes})
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("snnmap: %s: aborted after simulation: %w", res.Technique, err)
+		return nil, fmt.Errorf("snnmap: %s: aborted after simulation: %w", res.Technique, err)
 	}
 
 	// Stage 4 — analyze.
@@ -448,7 +417,7 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 	if pl.opts.keepTrace {
 		rep.Deliveries = nocRes.Deliveries
 	}
-	return rep, nocRes, nil
+	return rep, nil
 }
 
 // engineConfig derives the engine configuration of the pipeline's own
@@ -487,10 +456,16 @@ func (pl *Pipeline) Compare(ctx context.Context, techniques []Partitioner) ([]*R
 }
 
 // RunSeeds fans one stochastic technique out across seeds: the technique
-// is re-seeded per entry (via partition.Seeded) and every seed runs
-// through the warm session as one engine sweep, reports in seed order.
-// Deterministic techniques do not implement Seeded and are rejected —
-// running them per seed would just repeat one result.
+// is re-seeded per entry (via partition.Seeded) and the seeds are split
+// into one contiguous chunk per sweep worker (WithWorkers bounds the
+// pool). Each chunk runs on a single simulator and injection scratch held
+// for the whole chunk, so every seed after the first reuses the
+// simulator's flight free-list and the scratch's multiplicity table.
+// Reports are bit-identical to running each seed through Run and are
+// returned in seed order (see TestRunSeedsMatchesRun); per-seed failures
+// are aggregated into one joined error. Deterministic techniques do not
+// implement Seeded and are rejected — running them per seed would just
+// repeat one result.
 func (pl *Pipeline) RunSeeds(ctx context.Context, pt Partitioner, seeds []int64) ([]*Report, error) {
 	if pt == nil {
 		return nil, errors.New("snnmap: nil partitioner")
@@ -499,48 +474,8 @@ func (pl *Pipeline) RunSeeds(ctx context.Context, pt Partitioner, seeds []int64)
 	if !ok {
 		return nil, fmt.Errorf("snnmap: %s is deterministic (does not implement partition.Seeded); RunSeeds would repeat one result", pt.Name())
 	}
-	results := engine.Sweep(ctx, pl.engineConfig(), seeds,
-		func(ctx context.Context, seed int64) (*Report, error) {
-			return pl.Run(ctx, seeded.Reseed(seed))
-		})
-	out := make([]*Report, len(results))
-	var errs []error
-	for i, r := range results {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("snnmap: %s seed %d on %s: %w", pt.Name(), seeds[i], pl.app.Name, r.Err))
-			continue
-		}
-		out[i] = r.Value
-	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	return out, nil
-}
-
-// RunSeedsBatched is RunSeeds through the batched replay path: the seeds
-// are split into one contiguous chunk per sweep worker, and each chunk
-// runs on a single simulator and injection scratch held for the whole
-// chunk — every seed after the first reuses the simulator's flight
-// free-list, its Reclaimed delivery-trace capacity, and the scratch's
-// multiplicity table instead of churning per-seed working sets through
-// the session pool. Reports are bit-identical to RunSeeds and returned in
-// seed order (see TestRunSeedsBatchedMatchesRunSeeds); per-seed failures
-// are aggregated the same way. Prefer it for wide seed sweeps on one
-// technique; RunSeeds remains the simpler general path.
-func (pl *Pipeline) RunSeedsBatched(ctx context.Context, pt Partitioner, seeds []int64) ([]*Report, error) {
-	if pt == nil {
-		return nil, errors.New("snnmap: nil partitioner")
-	}
-	seeded, ok := pt.(partition.Seeded)
-	if !ok {
-		return nil, fmt.Errorf("snnmap: %s is deterministic (does not implement partition.Seeded); RunSeedsBatched would repeat one result", pt.Name())
-	}
 	cfg := pl.engineConfig()
-	k := cfg.Workers
-	if k < 1 {
-		k = 1
-	}
+	k := cfg.Size()
 	if k > len(seeds) {
 		k = len(seeds)
 	}
@@ -555,12 +490,6 @@ func (pl *Pipeline) RunSeedsBatched(ctx context.Context, pt Partitioner, seeds [
 		rep *Report
 		err error
 	}
-	// The delivery trace can be Reclaimed into the chunk's simulator only
-	// when nothing outside the run can still reference it: no trace
-	// retention on the report, no caller-supplied simulate stage (its
-	// Result is the caller's), and no observer (StageSimulate events carry
-	// the NoC result, and observers may retain what they see).
-	reclaim := !pl.opts.keepTrace && pl.opts.simulate == nil && pl.opts.analyze == nil && pl.opts.observer == nil
 	results := engine.Sweep(ctx, cfg, chunks,
 		func(ctx context.Context, c chunk) ([]seedOut, error) {
 			sim := pl.sims.Get().(*noc.Simulator)
@@ -568,10 +497,7 @@ func (pl *Pipeline) RunSeedsBatched(ctx context.Context, pt Partitioner, seeds [
 			sc := &trafficScratch{singleton: pl.singleton}
 			outs := make([]seedOut, 0, c.hi-c.lo)
 			for i := c.lo; i < c.hi; i++ {
-				rep, nocRes, err := pl.runWith(ctx, sim, sc, seeded.Reseed(seeds[i]), nil)
-				if err == nil && reclaim {
-					sim.Reclaim(nocRes)
-				}
+				rep, err := pl.runWith(ctx, sim, sc, seeded.Reseed(seeds[i]), nil)
 				outs = append(outs, seedOut{rep, err})
 			}
 			return outs, nil

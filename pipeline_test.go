@@ -11,13 +11,13 @@ import (
 	"repro/internal/hardware"
 )
 
-// TestPipelineMatchesLegacyRun is the migration guarantee of the staged
-// API: for every registered partitioner and every AER packetization mode,
-// a warm Pipeline session produces a Report deep-equal (bit-for-bit,
-// floats included) to the legacy per-run-construction path. Each warm
+// TestPipelineWarmMatchesCold is the warm-session guarantee: for every
+// registered partitioner and every AER packetization mode, a warm
+// Pipeline session produces a Report deep-equal (bit-for-bit, floats
+// included) to a single-use session built for that one run. Each warm
 // session additionally serves every technique twice, so run-to-run state
 // leakage through the reused simulator would be caught as well.
-func TestPipelineMatchesLegacyRun(t *testing.T) {
+func TestPipelineWarmMatchesCold(t *testing.T) {
 	app, err := BuildApp("HW", AppConfig{Seed: 1, DurationMs: 300})
 	if err != nil {
 		t.Fatal(err)
@@ -47,16 +47,16 @@ func TestPipelineMatchesLegacyRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cold, err := Run(app, arch, pt)
+				cold, err := runOnce(app, arch, pt)
 				if err != nil {
-					t.Fatalf("%s/%s: legacy Run: %v", mode, name, err)
+					t.Fatalf("%s/%s: cold run: %v", mode, name, err)
 				}
 				warm, err := pl.Run(context.Background(), pt)
 				if err != nil {
 					t.Fatalf("%s/%s: pipeline Run: %v", mode, name, err)
 				}
 				if !reflect.DeepEqual(cold, warm) {
-					t.Fatalf("%s/%s round %d: warm report differs from legacy report\ncold: %+v\nwarm: %+v",
+					t.Fatalf("%s/%s round %d: warm report differs from cold report\ncold: %+v\nwarm: %+v",
 						mode, name, round, cold, warm)
 				}
 			}
@@ -123,48 +123,17 @@ func TestCompareAggregatesAllFailures(t *testing.T) {
 		Pacman,
 		failingPartitioner{"boom-b"},
 	}
-	_, err = CompareSweep(context.Background(), app, arch, techniques, SweepConfig{Workers: 1})
-	if err == nil {
+	pl, err := NewPipeline(app, arch, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = pl.Compare(context.Background(), techniques); err == nil {
 		t.Fatal("expected aggregated error")
 	}
 	for _, want := range []string{"boom-a exploded", "boom-b exploded"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("aggregated error misses %q: %v", want, err)
 		}
-	}
-}
-
-func TestRunSeeds(t *testing.T) {
-	app, err := BuildSynthetic(AppConfig{Seed: 4, DurationMs: 150}, 1, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch := ForNeurons(app.Graph.Neurons, 16)
-	pl, err := NewPipeline(app, arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pso := NewPSO(PSOConfig{SwarmSize: 8, Iterations: 8, Seed: 99, Workers: 1})
-	seeds := []int64{1, 2, 3}
-	reports, err := pl.RunSeeds(context.Background(), pso, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != len(seeds) {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	for i, seed := range seeds {
-		want, err := pl.Run(context.Background(), NewPSO(PSOConfig{SwarmSize: 8, Iterations: 8, Seed: seed, Workers: 1}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(reports[i], want) {
-			t.Fatalf("seed %d report differs from directly reseeded run", seed)
-		}
-	}
-
-	if _, err := pl.RunSeeds(context.Background(), Pacman, seeds); err == nil {
-		t.Fatal("RunSeeds must reject deterministic partitioners")
 	}
 }
 
@@ -266,12 +235,14 @@ func TestWithTraceKeepsDeliveries(t *testing.T) {
 	}
 }
 
-// TestPipelineStreamingDeliveryMatchesDefault pins the streaming-delivery
-// fast path: with metrics fed straight from the simulator's delivery sink
-// and no trace accumulation, every Report field must stay bit-identical
-// to the default accumulate-then-analyze path, across AER packetization
-// modes and both deterministic baselines.
-func TestPipelineStreamingDeliveryMatchesDefault(t *testing.T) {
+// TestPipelineStreamingMatchesTrace pins the two analysis routes to each
+// other: a default session streams deliveries from the simulator's sink
+// into the metrics accumulator and never builds the trace, while a
+// WithTrace session keeps the trace and runs metrics.Analyze on it. Every
+// Report field except Deliveries must be bit-identical across AER
+// packetization modes and both deterministic baselines, so
+// metrics.Analyze stays the frozen oracle of the streaming route.
+func TestPipelineStreamingMatchesTrace(t *testing.T) {
 	app, err := BuildSynthetic(AppConfig{Seed: 11, DurationMs: 200}, 2, 80)
 	if err != nil {
 		t.Fatal(err)
@@ -280,44 +251,34 @@ func TestPipelineStreamingDeliveryMatchesDefault(t *testing.T) {
 	for _, mode := range []hardware.AERMode{PerSynapse, PerCrossbar, MulticastAER} {
 		arch := base
 		arch.AER = mode
-		def, err := NewPipeline(app, arch)
+		str, err := NewPipeline(app, arch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		str, err := NewPipeline(app, arch, WithStreamingDelivery(true))
+		traced, err := NewPipeline(app, arch, WithTrace(true))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pt := range []Partitioner{GreedyPartitioner, Pacman} {
-			want, err := def.Run(context.Background(), pt)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err := str.Run(context.Background(), pt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Deliveries) != 0 {
-				t.Fatalf("streaming run retained a trace (%d deliveries)", len(got.Deliveries))
+			want, err := traced.Run(context.Background(), pt)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if got.Deliveries != nil {
+				t.Fatalf("AER %v / %s: default run retained a trace (%d deliveries)", mode, pt.Name(), len(got.Deliveries))
+			}
+			if int64(len(want.Deliveries)) != want.NoC.Delivered || want.NoC.Delivered == 0 {
+				t.Fatalf("AER %v / %s: traced run kept %d of %d deliveries", mode, pt.Name(), len(want.Deliveries), want.NoC.Delivered)
+			}
+			want.Deliveries = nil
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("AER %v / %s: streaming report diverges:\n got %+v\nwant %+v",
+				t.Fatalf("AER %v / %s: streaming report diverges from the trace oracle:\n got %+v\nwant %+v",
 					mode, pt.Name(), got, want)
 			}
 		}
-	}
-
-	// WithTrace wins over streaming: the trace is retained and identical.
-	arch := base
-	both, err := NewPipeline(app, arch, WithStreamingDelivery(true), WithTrace(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := both.Run(context.Background(), GreedyPartitioner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Deliveries) == 0 {
-		t.Fatal("WithTrace+streaming must still retain the delivery trace")
 	}
 }

@@ -25,8 +25,9 @@ import (
 //     crossbar (paper Eq. 4–5);
 //  4. Eq. 7–8 consistency — the analytical fitness F equals the replayed
 //     per-synapse interconnect traffic;
-//  5. streaming ≡ trace — the streaming delivery path reports exactly what
-//     the trace-accumulating path reports.
+//  5. streaming ≡ trace — the default streaming analysis reports exactly
+//     what a WithTrace session's metrics.Analyze over the kept trace
+//     reports.
 //
 // The hypergraph-cut and incremental-remap invariants (delta moves ≡ the
 // referenceHyperCut oracle, cross-seed/worker determinism, post-remap
@@ -174,19 +175,24 @@ func TestScenarioInvariants(t *testing.T) {
 							}
 						}
 
-						// Invariant 5 — streaming ≡ trace: the streaming
-						// delivery sink reports exactly what the default
-						// trace-accumulating path reports.
-						plStream, err := NewPipeline(app, arch, WithStreamingDelivery(true))
+						// Invariant 5 — streaming ≡ trace: the default
+						// session's streamed metrics match a WithTrace
+						// session's Analyze over the kept trace, on every
+						// field but the trace itself.
+						plTrace, err := NewPipeline(app, arch, WithTrace(true))
 						if err != nil {
 							t.Fatal(err)
 						}
-						repStream, err := plStream.Run(ctx, pt)
+						repTrace, err := plTrace.Run(ctx, pt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !reflect.DeepEqual(rep, repStream) {
-							t.Fatal("streaming delivery report diverges from trace report")
+						if int64(len(repTrace.Deliveries)) != repTrace.NoC.Delivered {
+							t.Fatalf("WithTrace kept %d of %d deliveries", len(repTrace.Deliveries), repTrace.NoC.Delivered)
+						}
+						repTrace.Deliveries = nil
+						if !reflect.DeepEqual(rep, repTrace) {
+							t.Fatal("streaming report diverges from the trace oracle")
 						}
 
 						// Invariant 2b — seed determinism end to end: the

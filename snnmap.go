@@ -19,18 +19,13 @@
 //	pipe, _ := snnmap.NewPipeline(app, arch)
 //	report, _ := pipe.Run(ctx, snnmap.NewPSO(snnmap.DefaultPSOConfig()))
 //	fmt.Println(report.TotalEnergyPJ, report.Metrics.ISIAvgCycles)
-//
-// The legacy one-shot entry points (Run, Compare) remain as thin wrappers
-// over a single-use Pipeline.
 package snnmap
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/apps"
-	"repro/internal/engine"
 	_ "repro/internal/genapp" // registers the gen:* scenario families
 	"repro/internal/graph"
 	"repro/internal/hardware"
@@ -38,10 +33,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/partition"
 )
-
-// SweepConfig bounds the concurrency of the experiment engine underneath
-// Compare and the Run* experiment drivers (see internal/engine).
-type SweepConfig = engine.Config
 
 // AER packetization modes, re-exported from internal/hardware.
 const (
@@ -180,41 +171,9 @@ type Report struct {
 	NoC NoCStats
 	// Metrics are the SNN-specific measurements of Table II.
 	Metrics MetricsReport
-	// Deliveries is the raw arrival trace (nil unless Options.KeepTrace).
+	// Deliveries is the raw arrival trace (nil unless the pipeline was
+	// built WithTrace).
 	Deliveries []Delivery
-}
-
-// Options tunes the pipeline run.
-//
-// Deprecated: pass functional options (WithTrace, WithTimeout, …) to
-// NewPipeline instead.
-type Options struct {
-	// KeepTrace retains the raw delivery trace on the report (needed by
-	// the heartbeat accuracy experiment).
-	KeepTrace bool
-}
-
-// Run executes the full pipeline of the paper's Fig. 4 for one application,
-// architecture and partitioning technique. It builds a single-use session;
-// callers mapping the same (application, architecture) pair more than once
-// should hold a Pipeline and amortize the setup.
-//
-// Deprecated: use NewPipeline and Pipeline.Run, which reuse the expensive
-// per-pair state across runs. Run remains as a convenience for one-shot
-// mappings and produces byte-identical reports.
-func Run(app *App, arch Arch, pt Partitioner) (*Report, error) {
-	return RunOpts(app, arch, pt, Options{})
-}
-
-// RunOpts is Run with explicit options.
-//
-// Deprecated: use NewPipeline with functional options and Pipeline.Run.
-func RunOpts(app *App, arch Arch, pt Partitioner, opts Options) (*Report, error) {
-	pl, err := NewPipeline(app, arch, WithTrace(opts.KeepTrace))
-	if err != nil {
-		return nil, err
-	}
-	return pl.Run(context.Background(), pt)
 }
 
 // SimulateTraffic replays the global-synapse spike traffic of a mapped
@@ -246,9 +205,9 @@ func simulateTrafficOn(sim *noc.Simulator, g *SpikeGraph, assign Assignment, arc
 // simulateTrafficOn: destination multiplicity, the touched-crossbar list,
 // and the single-crossbar destination-mask table. A zero value works
 // (everything is sized on first use); a warm Pipeline seeds one scratch
-// per run — per sweep worker in the batched seed path — from a
-// session-wide prefilled singleton table so repeated replays allocate no
-// injection scratch at all. A scratch is single-goroutine state except
+// per run — per sweep worker in RunSeeds — from a session-wide
+// prefilled singleton table so repeated replays allocate no injection
+// scratch at all. A scratch is single-goroutine state except
 // for the singleton table, which may be shared across scratches only when
 // fully prefilled (newSingletonTable): lazy fills write the table.
 type trafficScratch struct {
@@ -361,39 +320,4 @@ func (sc *trafficScratch) injectAndRun(sim *noc.Simulator, g *SpikeGraph, assign
 		}
 	}
 	return sim.Run()
-}
-
-// Compare runs several techniques on the same application and architecture
-// on the experiment engine's default worker pool (GOMAXPROCS jobs in
-// flight), returning reports in technique order. This drives the paper's
-// Fig. 5. The techniques run concurrently, so each Partitioner must be
-// safe for concurrent Partition calls — every partitioner in this module
-// is (see the Partitioner contract); callers needing strict sequential
-// execution (e.g. to bound peak memory on huge traces) should use
-// CompareSweep with Workers: 1.
-//
-// Deprecated: use NewPipeline and Pipeline.Compare, which share one warm
-// session across the techniques instead of rebuilding the problem and
-// interconnect per run.
-func Compare(app *App, arch Arch, techniques []Partitioner) ([]*Report, error) {
-	return CompareSweep(context.Background(), app, arch, techniques, SweepConfig{})
-}
-
-// CompareSweep is Compare with explicit engine configuration: the
-// techniques are executed as one engine sweep, cfg.Workers jobs in flight
-// at a time (0 selects GOMAXPROCS, 1 runs sequentially). Each pipeline run
-// is deterministic for a fixed technique seed, so the reports are
-// identical at every worker count. When several techniques fail, the
-// returned error joins every per-technique error (errors.Join) so one
-// sweep diagnosis names every failing job. cfg.Timeout is enforced
-// cooperatively between pipeline stages.
-//
-// Deprecated: use NewPipeline with WithWorkers/WithTimeout and
-// Pipeline.Compare.
-func CompareSweep(ctx context.Context, app *App, arch Arch, techniques []Partitioner, cfg SweepConfig) ([]*Report, error) {
-	pl, err := NewPipeline(app, arch, WithWorkers(cfg.Workers), WithTimeout(cfg.Timeout))
-	if err != nil {
-		return nil, err
-	}
-	return pl.Compare(ctx, techniques)
 }

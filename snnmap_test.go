@@ -1,11 +1,22 @@
 package snnmap
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/hardware"
 	"repro/internal/partition"
 )
+
+// runOnce maps one technique through a single-use session: the cold
+// path every warm-session test is compared against.
+func runOnce(app *App, arch Arch, pt Partitioner, opts ...Option) (*Report, error) {
+	pl, err := NewPipeline(app, arch, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Run(context.Background(), pt)
+}
 
 func TestFullPipelineHelloWorld(t *testing.T) {
 	app, err := BuildApp("HW", AppConfig{Seed: 1, DurationMs: 500})
@@ -16,7 +27,7 @@ func TestFullPipelineHelloWorld(t *testing.T) {
 	// produce interconnect traffic. On the full CxQuad (4×256) the app
 	// fits a single crossbar and the optimum has zero global traffic.
 	arch := ForNeurons(app.Graph.Neurons, 32)
-	rep, err := Run(app, arch, NewPSO(PSOConfig{SwarmSize: 20, Iterations: 20, Seed: 1}))
+	rep, err := runOnce(app, arch, NewPSO(PSOConfig{SwarmSize: 20, Iterations: 20, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,22 +47,7 @@ func TestFullPipelineHelloWorld(t *testing.T) {
 		t.Fatal("no interconnect traffic simulated")
 	}
 	if rep.Deliveries != nil {
-		t.Fatal("trace kept without KeepTrace")
-	}
-}
-
-func TestRunOptsKeepTrace(t *testing.T) {
-	app, err := BuildSynthetic(AppConfig{Seed: 2, DurationMs: 300}, 1, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch := ForNeurons(app.Graph.Neurons, 16)
-	rep, err := RunOpts(app, arch, Pacman, Options{KeepTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(rep.Deliveries)) != rep.NoC.Delivered {
-		t.Fatalf("trace length %d != delivered %d", len(rep.Deliveries), rep.NoC.Delivered)
+		t.Fatal("trace kept without WithTrace")
 	}
 }
 
@@ -63,7 +59,11 @@ func TestPSOReducesEnergyVersusBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := ForNeurons(app.Graph.Neurons, 64)
-	reports, err := Compare(app, arch, []Partitioner{
+	pl, err := NewPipeline(app, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := pl.Compare(context.Background(), []Partitioner{
 		Neutrams,
 		Pacman,
 		NewPSO(PSOConfig{SwarmSize: 50, Iterations: 60, Seed: 4}),
@@ -137,19 +137,19 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := CxQuad()
-	if _, err := Run(nil, arch, Pacman); err == nil {
+	if _, err := runOnce(nil, arch, Pacman); err == nil {
 		t.Fatal("nil app must fail")
 	}
-	if _, err := Run(app, arch, nil); err == nil {
+	if _, err := runOnce(app, arch, nil); err == nil {
 		t.Fatal("nil partitioner must fail")
 	}
 	bad := arch
 	bad.Crossbars = 0
-	if _, err := Run(app, bad, Pacman); err == nil {
+	if _, err := runOnce(app, bad, Pacman); err == nil {
 		t.Fatal("invalid arch must fail")
 	}
 	tiny := ForNeurons(4, 4) // capacity 4 < 20 neurons
-	if _, err := Run(app, tiny, Pacman); err == nil {
+	if _, err := runOnce(app, tiny, Pacman); err == nil {
 		t.Fatal("undersized arch must fail")
 	}
 }
@@ -167,7 +167,11 @@ func TestCompareAllTechniquesOnCxQuad(t *testing.T) {
 		partition.Random{Seed: 1},
 		partition.KLRefine{Base: partition.Pacman{}},
 	}
-	reports, err := Compare(app, CxQuad(), techniques)
+	pl, err := NewPipeline(app, CxQuad())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := pl.Compare(context.Background(), techniques)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,9 @@ import (
 // equivalent.
 //
 // Execution knobs that cannot change the result stay out of the spec by
-// design: replay sharding (WithReplayWorkers) is bit-identical at every
+// design: sweep parallelism (WithWorkers) is bit-identical at every
 // worker count, so it is a server deployment setting
-// (service.Config.ReplayWorkers) — encoding it here would split the
+// (service.Config.PipelineWorkers) — encoding it here would split the
 // content address of jobs whose tables are byte-equal.
 type JobSpec struct {
 	// App is an application registry spec ("HW",
@@ -56,14 +56,14 @@ type JobSpec struct {
 	// (default 100 each, the CLI defaults).
 	SwarmSize  int `json:"swarm,omitempty"`
 	Iterations int `json:"iterations,omitempty"`
-	// TechSeeds, when non-empty, turns the job into a batched seed
-	// sweep: the (single, reseedable) technique is re-seeded per entry
-	// and the seeds run through Pipeline.RunSeedsBatched on the job's
-	// warm session — one report row per seed, in seed order. The app
-	// characterization still uses Seed; TechSeeds only reseeds the
-	// technique, exactly like RunSeedsBatched. The field extends the
-	// canonical form (and therefore the content address) only when set,
-	// so plain jobs hash exactly as before.
+	// TechSeeds, when non-empty, turns the job into a seed sweep: the
+	// (single, reseedable) technique is re-seeded per entry and the
+	// seeds run through Pipeline.RunSeeds on the job's warm session —
+	// one report row per seed, in seed order. The app characterization
+	// still uses Seed; TechSeeds only reseeds the technique, exactly
+	// like RunSeeds. The field extends the canonical form (and therefore
+	// the content address) only when set, so plain jobs hash exactly as
+	// before.
 	TechSeeds []int64 `json:"tech_seeds,omitempty"`
 }
 
@@ -198,7 +198,7 @@ func (s JobSpec) Hash() string {
 
 // NewSessionPipeline builds the warm session of a normalized spec —
 // NewPipelineByName with the spec's session-key fields, plus any extra
-// options (a server adds streaming delivery and worker bounds).
+// options (a server adds worker bounds).
 func NewSessionPipeline(s JobSpec, opts ...Option) (*Pipeline, error) {
 	mode, err := s.AERMode()
 	if err != nil {

@@ -232,7 +232,7 @@ func TestRegistryConcurrentRegisterAndLookup(t *testing.T) {
 	}
 }
 
-// TestJobSpecTechSeeds pins the batched seed-sweep field: it extends
+// TestJobSpecTechSeeds pins the seed-sweep field: it extends
 // the canonical form (and content address) only when set, keeps the
 // session key untouched (reseeding the technique reuses the warm
 // session by construction), and is validated against the technique's
