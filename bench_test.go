@@ -1,8 +1,8 @@
 package snnmap
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (DATE 2018), plus the ablations called out in DESIGN.md.
-// Each benchmark regenerates its experiment through the same harness as
+// evaluation (DATE 2018), plus the optimizer, AER and topology ablations.
+// Each benchmark regenerates its experiment through the same registry as
 // cmd/experiments and reports the headline numbers via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
@@ -38,9 +38,7 @@ func BenchmarkFig5Sweep(b *testing.B) {
 			opts := benchOpts()
 			opts.Parallel = workers
 			for i := 0; i < b.N; i++ {
-				if _, err := RunFig5(opts); err != nil {
-					b.Fatal(err)
-				}
+				runExperiment(b, "fig5", opts)
 			}
 		})
 	}
@@ -104,30 +102,34 @@ func BenchmarkPipelineWarmVsCold(b *testing.B) {
 	})
 }
 
+// benchExperiment regenerates the named experiment b.N times in quick
+// mode and returns the last table.
+func benchExperiment(b *testing.B, name string) *Table {
+	var tab *Table
+	for i := 0; i < b.N; i++ {
+		tab = runExperiment(b, name, benchOpts())
+	}
+	return tab
+}
+
 // BenchmarkFig5 regenerates Fig. 5: normalized interconnect energy for
 // NEUTRAMS, PACMAN and the proposed PSO across synthetic and realistic
 // applications. Reported metrics are the mean normalized PSO energy and the
 // mean improvement over both baselines (paper: 17–33% average).
 func BenchmarkFig5(b *testing.B) {
-	var rows []Fig5Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = RunFig5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	tab := benchExperiment(b, "fig5")
 	var psoNorm, impN, impP float64
-	for _, r := range rows {
-		psoNorm += r.Normalized["PSO"]
-		if r.Normalized["NEUTRAMS"] > 0 {
-			impN += (1 - r.Normalized["PSO"]/r.Normalized["NEUTRAMS"]) * 100
+	for i := range tab.Rows {
+		pso := cell[float64](b, tab, i, "norm_pso")
+		psoNorm += pso
+		if n := cell[float64](b, tab, i, "norm_neutrams"); n > 0 {
+			impN += (1 - pso/n) * 100
 		}
-		if r.Normalized["PACMAN"] > 0 {
-			impP += (1 - r.Normalized["PSO"]/r.Normalized["PACMAN"]) * 100
+		if p := cell[float64](b, tab, i, "norm_pacman"); p > 0 {
+			impP += (1 - pso/p) * 100
 		}
 	}
-	n := float64(len(rows))
+	n := float64(len(tab.Rows))
 	b.ReportMetric(psoNorm/n, "PSO-norm-energy")
 	b.ReportMetric(impN/n, "%improv-vs-NEUTRAMS")
 	b.ReportMetric(impP/n, "%improv-vs-PACMAN")
@@ -137,22 +139,16 @@ func BenchmarkFig5(b *testing.B) {
 // applications under PACMAN and PSO. Reported metrics are the mean relative
 // reductions the paper headlines (37% ISI, 63% disorder, 22% latency).
 func BenchmarkTable2(b *testing.B) {
-	var rows []Table2Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = RunTable2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	tab := benchExperiment(b, "table2")
 	var isi, lat float64
 	var n float64
-	for _, r := range rows {
-		if r.Pacman.ISIDistortionCycles > 0 {
-			isi += (1 - r.PSO.ISIDistortionCycles/r.Pacman.ISIDistortionCycles) * 100
+	// Rows come in (PACMAN, PSO) pairs per application.
+	for i := 0; i+1 < len(tab.Rows); i += 2 {
+		if pac := cell[float64](b, tab, i, "isi_distortion_cycles"); pac > 0 {
+			isi += (1 - cell[float64](b, tab, i+1, "isi_distortion_cycles")/pac) * 100
 		}
-		if r.Pacman.MaxLatencyCycles > 0 {
-			lat += (1 - float64(r.PSO.MaxLatencyCycles)/float64(r.Pacman.MaxLatencyCycles)) * 100
+		if pac := cell[int64](b, tab, i, "max_latency_cycles"); pac > 0 {
+			lat += (1 - float64(cell[int64](b, tab, i+1, "max_latency_cycles"))/float64(pac)) * 100
 		}
 		n++
 	}
@@ -164,43 +160,29 @@ func BenchmarkTable2(b *testing.B) {
 // digit recognition application. Reported metrics locate the total-energy
 // optimum (the paper's "intermediate point between the extremes").
 func BenchmarkFig6(b *testing.B) {
-	var rows []Fig6Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = RunFig6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
+	tab := benchExperiment(b, "fig6")
+	best := 0
+	for i := range tab.Rows {
+		if cell[float64](b, tab, i, "total_energy_uj") < cell[float64](b, tab, best, "total_energy_uj") {
+			best = i
 		}
 	}
-	best := rows[0]
-	for _, r := range rows {
-		if r.TotalEnergyUJ < best.TotalEnergyUJ {
-			best = r
-		}
-	}
-	b.ReportMetric(float64(best.NeuronsPerCrossbar), "best-Nc")
-	b.ReportMetric(best.TotalEnergyUJ, "best-total-uJ")
-	b.ReportMetric(rows[0].GlobalEnergyUJ, "global-uJ-at-90")
-	b.ReportMetric(rows[len(rows)-1].LocalEnergyUJ, "local-uJ-at-1440")
+	b.ReportMetric(float64(cell[int64](b, tab, best, "neurons_per_crossbar")), "best-Nc")
+	b.ReportMetric(cell[float64](b, tab, best, "total_energy_uj"), "best-total-uJ")
+	b.ReportMetric(cell[float64](b, tab, 0, "global_energy_uj"), "global-uJ-at-90")
+	b.ReportMetric(cell[float64](b, tab, len(tab.Rows)-1, "local_energy_uj"), "local-uJ-at-1440")
 }
 
 // BenchmarkFig7 regenerates Fig. 7: interconnect energy versus swarm size.
 // The reported metric is the mean normalized energy at the smallest swarm
 // (>1 means larger swarms found better partitions, the paper's trend).
 func BenchmarkFig7(b *testing.B) {
-	var points []Fig7Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		points, err = RunFig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	tab := benchExperiment(b, "fig7")
 	var smallest float64
 	var n float64
-	for _, p := range points {
-		if p.SwarmSize == 10 {
-			smallest += p.Normalized
+	for i := range tab.Rows {
+		if cell[int64](b, tab, i, "swarm_size") == 10 {
+			smallest += cell[float64](b, tab, i, "normalized")
 			n++
 		}
 	}
@@ -209,22 +191,12 @@ func BenchmarkFig7(b *testing.B) {
 
 // BenchmarkAccuracy regenerates the §V-B heartbeat accuracy experiment.
 func BenchmarkAccuracy(b *testing.B) {
-	var rep *AccuracyReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = RunAccuracy(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rep.Rows {
-		switch r.Technique {
-		case "PACMAN":
-			b.ReportMetric(r.ISIDistortionCycles, "PACMAN-ISI-cycles")
-			b.ReportMetric(r.IntervalErrorPct, "PACMAN-beat-err-%")
-		case "PSO":
-			b.ReportMetric(r.ISIDistortionCycles, "PSO-ISI-cycles")
-			b.ReportMetric(r.IntervalErrorPct, "PSO-beat-err-%")
+	tab := benchExperiment(b, "accuracy")
+	for i := range tab.Rows {
+		technique := cell[string](b, tab, i, "technique")
+		if technique == "PACMAN" || technique == "PSO" {
+			b.ReportMetric(cell[float64](b, tab, i, "isi_distortion_cycles"), technique+"-ISI-cycles")
+			b.ReportMetric(cell[float64](b, tab, i, "interval_error_pct"), technique+"-beat-err-%")
 		}
 	}
 }
@@ -232,49 +204,28 @@ func BenchmarkAccuracy(b *testing.B) {
 // BenchmarkAblationOptimizer compares PSO with SA, GA, greedy and random
 // partitioning (paper §III's computational-cost claim).
 func BenchmarkAblationOptimizer(b *testing.B) {
-	var rows []AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = RunOptimizerAblation(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Technique == "PSO" || r.Technique == "SA" || r.Technique == "GA" {
-			b.ReportMetric(float64(r.Cost), r.Technique+"-fitness")
+	tab := benchExperiment(b, "ablation-optimizer")
+	for i := range tab.Rows {
+		if technique := cell[string](b, tab, i, "technique"); technique == "PSO" || technique == "SA" || technique == "GA" {
+			b.ReportMetric(float64(cell[int64](b, tab, i, "cost")), technique+"-fitness")
 		}
 	}
 }
 
 // BenchmarkAblationMulticast quantifies the Noxim++ multicast extension.
 func BenchmarkAblationMulticast(b *testing.B) {
-	var rows []AERModeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = RunAERModeAblation(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.EnergyPJ, r.Mode+"-pJ")
+	tab := benchExperiment(b, "ablation-aer")
+	for i := range tab.Rows {
+		b.ReportMetric(cell[float64](b, tab, i, "energy_pj"), cell[string](b, tab, i, "mode")+"-pJ")
 	}
 }
 
 // BenchmarkAblationTopology compares NoC-tree (CxQuad) against NoC-mesh
 // (TrueNorth/HiCANN) under the same mapping.
 func BenchmarkAblationTopology(b *testing.B) {
-	var rows []TopologyRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = RunTopologyAblation(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.EnergyPJ, r.Topology+"-pJ")
+	tab := benchExperiment(b, "ablation-topology")
+	for i := range tab.Rows {
+		b.ReportMetric(cell[float64](b, tab, i, "energy_pj"), cell[string](b, tab, i, "topology")+"-pJ")
 	}
 }
 

@@ -134,7 +134,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			return err
 		}
 		slog.Info("pprof debug server listening", "url", "http://"+dln.Addr().String()+"/debug/pprof/")
-		go func() { _ = http.Serve(dln, http.DefaultServeMux) }()
+		go func() { _ = newServer(http.DefaultServeMux).Serve(dln) }()
 	}
 
 	if *fleetRoute {
@@ -199,7 +199,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
+	httpSrv := newServer(svc.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -226,6 +226,22 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	}
 	slog.Info("drained; bye")
 	return nil
+}
+
+// Timeouts of every HTTP server the daemon runs. A client gets
+// readHeaderTimeout to send its request headers and a keep-alive
+// connection is closed after idleTimeout without a request, so slow or
+// idle clients cannot hold connections open indefinitely. There is
+// deliberately no WriteTimeout: it would cut the long-lived SSE streams
+// of GET /v1/jobs/{id}/events.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer wraps h in an http.Server carrying the daemon's timeouts.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // splitList parses a comma-separated flag value, dropping empties.
@@ -281,7 +297,7 @@ func runRouter(opts routerOptions, ready chan<- string) error {
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
+	httpSrv := newServer(rt.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -33,6 +33,25 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestServerTimeouts pins the slow-client bounds every daemon listener
+// (job API, fleet router, pprof) is built with: header and idle timeouts
+// set, and no write timeout, which would cut SSE event streams.
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.Handler == nil {
+		t.Fatal("server has no handler")
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want positive %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want positive %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v, want 0 so SSE streams stay open", srv.WriteTimeout)
+	}
+}
+
 // TestBootSubmitAndGracefulShutdown boots the daemon on an ephemeral
 // port, runs one tiny job end to end over a real socket, then drains it
 // with SIGTERM — the in-process twin of the CI smoke job.

@@ -148,17 +148,13 @@ func TestCompareDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestRunFig5ParallelMatchesSequential is the acceptance check of the
 // experiment engine refactor: for a fixed ExpOptions.Seed the full Fig. 5
-// driver produces identical rows at every worker count.
+// driver produces an identical table at every worker count.
 func TestRunFig5ParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
 	seq := fig5Quick(t)
-	par, err := RunFig5(ExpOptions{Quick: true, Seed: 1, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
+	if par := runExperiment(t, "fig5", quick4); !reflect.DeepEqual(seq, par) {
 		t.Fatal("Fig. 5 rows diverge between Parallel=1 and Parallel=4")
 	}
 }
@@ -170,14 +166,8 @@ func TestRunAERModeAblationParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
-	seq, err := RunAERModeAblation(ExpOptions{Quick: true, Seed: 1, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunAERModeAblation(ExpOptions{Quick: true, Seed: 1, Parallel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runExperiment(t, "ablation-aer", ExpOptions{Quick: true, Seed: 1, Parallel: 1})
+	par := runExperiment(t, "ablation-aer", ExpOptions{Quick: true, Seed: 1, Parallel: 3})
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("AER ablation rows diverge between Parallel=1 and Parallel=3")
 	}

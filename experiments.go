@@ -23,7 +23,7 @@ type ExpOptions struct {
 	// sweep jobs (application builds, pipeline runs) in flight at once.
 	// 0 selects runtime.GOMAXPROCS; 1 executes sweeps strictly
 	// sequentially. Every driver produces identical rows at every worker
-	// count for a fixed Seed.
+	// count for a fixed Seed, apart from ColDuration columns (wall clocks).
 	Parallel int
 	// Timeout bounds each sweep job's wall clock; 0 disables the limit.
 	Timeout time.Duration
@@ -119,18 +119,6 @@ func QuadArch(g *SpikeGraph) Arch {
 	return a
 }
 
-// Fig5Row is one bar group of the paper's Fig. 5: interconnect energy of
-// the three techniques on one application, normalized to NEUTRAMS.
-type Fig5Row struct {
-	App      string
-	Neurons  int
-	Synapses int
-	// EnergyPJ maps technique name to absolute interconnect energy.
-	EnergyPJ map[string]float64
-	// Normalized maps technique name to energy / NEUTRAMS energy.
-	Normalized map[string]float64
-}
-
 // workload names one experiment application: a builder plus the
 // characterization run length the paper uses for it.
 type workload struct {
@@ -181,10 +169,10 @@ func valuesNamed[R any](results []engine.Result[R], name func(i int) string) ([]
 }
 
 // sweepGrid executes fn over the w-major cross product of nw × nt cells
-// as one engine sweep, returning the results grouped by the first index
-// (out[w][t]). It is the shared shape of the Fig. 5, Table II and Fig. 7
-// grids: workloads × techniques (or swarm sizes).
-func sweepGrid[R any](ctx context.Context, opts ExpOptions, nw, nt int, fn func(ctx context.Context, w, t int) (R, error)) ([][]R, error) {
+// as one engine sweep, returning the results in that order: cell (w, t)
+// at index w*nt + t. It is the shared shape of the Fig. 5, Table II,
+// Fig. 7 and scenario grids: workloads × techniques (or swarm sizes).
+func sweepGrid[R any](ctx context.Context, opts ExpOptions, nw, nt int, fn func(ctx context.Context, w, t int) (R, error)) ([]R, error) {
 	type cell struct{ w, t int }
 	cells := make([]cell, 0, nw*nt)
 	for w := 0; w < nw; w++ {
@@ -194,22 +182,12 @@ func sweepGrid[R any](ctx context.Context, opts ExpOptions, nw, nt int, fn func(
 	}
 	results := engine.Sweep(ctx, opts.engineConfig(), cells,
 		func(ctx context.Context, c cell) (R, error) { return fn(ctx, c.w, c.t) })
-	flat := make([]R, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			// Engine-generated errors (timeouts, cancellations) carry only
-			// a flat job index; translate it back into grid coordinates.
-			// fn's own errors additionally name the workload/technique.
-			return nil, fmt.Errorf("snnmap: sweep cell (%d,%d) of %d×%d grid: %w",
-				cells[i].w, cells[i].t, nw, nt, r.Err)
-		}
-		flat[i] = r.Value
-	}
-	out := make([][]R, nw)
-	for w := range out {
-		out[w] = flat[w*nt : (w+1)*nt]
-	}
-	return out, nil
+	// Engine-generated errors (timeouts, cancellations) carry only a flat
+	// job index; the name translates it back into grid coordinates. fn's
+	// own errors additionally name the workload/technique.
+	return valuesNamed(results, func(i int) string {
+		return fmt.Sprintf("sweep cell (%d,%d) of %d×%d grid", cells[i].w, cells[i].t, nw, nt)
+	})
 }
 
 // fig5Workloads lists the Fig. 5 X axis: the synthetic topologies swept in
@@ -238,16 +216,13 @@ func fig5Workloads() []workload {
 	return out
 }
 
-// RunFig5 regenerates the paper's Fig. 5: normalized energy consumption on
-// the global synapse interconnect for NEUTRAMS, PACMAN and the proposed
+// fig5Rows regenerates the paper's Fig. 5: normalized energy consumption
+// on the global synapse interconnect for NEUTRAMS, PACMAN and the proposed
 // PSO, over synthetic and realistic applications. Two engine sweeps: one
 // characterizes the twelve workloads, one runs every workload × technique
-// cell of the grid through a warm per-workload pipeline.
-func RunFig5(opts ExpOptions) ([]Fig5Row, error) {
-	return runFig5(context.Background(), NewPipeline, opts)
-}
-
-func runFig5(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Fig5Row, error) {
+// cell of the grid through a warm per-workload pipeline. Each row carries
+// the absolute energies, then the energies normalized to NEUTRAMS.
+func fig5Rows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	workloads := fig5Workloads()
 	built, err := buildWorkloads(ctx, opts, workloads)
 	if err != nil {
@@ -258,66 +233,39 @@ func runFig5(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Fig5Ro
 		return nil, err
 	}
 	techniques := []Partitioner{Neutrams, Pacman, opts.pso(opts.seed())}
-	reports, err := sweepGrid(ctx, opts, len(workloads), len(techniques),
-		func(ctx context.Context, w, t int) (*Report, error) {
+	nt := len(techniques)
+	energies, err := sweepGrid(ctx, opts, len(workloads), nt,
+		func(ctx context.Context, w, t int) (float64, error) {
 			rep, err := pipelines[w].Run(ctx, techniques[t])
 			if err != nil {
-				return nil, fmt.Errorf("snnmap: %s on %s: %w", techniques[t].Name(), workloads[w].name, err)
+				return 0, fmt.Errorf("snnmap: %s on %s: %w", techniques[t].Name(), workloads[w].name, err)
 			}
-			return rep, nil
+			return rep.GlobalEnergyPJ, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Fig5Row, 0, len(workloads))
+	rows := make([][]any, 0, len(workloads))
 	for w, wl := range workloads {
-		row := Fig5Row{
-			App:        wl.name,
-			Neurons:    built[w].Graph.Neurons,
-			Synapses:   len(built[w].Graph.Synapses),
-			EnergyPJ:   map[string]float64{},
-			Normalized: map[string]float64{},
-		}
-		for _, r := range reports[w] {
-			row.EnergyPJ[r.Technique] = r.GlobalEnergyPJ
-		}
-		base := row.EnergyPJ["NEUTRAMS"]
-		for k, v := range row.EnergyPJ {
-			if base > 0 {
-				row.Normalized[k] = v / base
-			} else {
-				row.Normalized[k] = 0
+		e := energies[w*nt : (w+1)*nt] // NEUTRAMS, PACMAN, PSO
+		row := []any{wl.name, built[w].Graph.Neurons, len(built[w].Graph.Synapses), e[0], e[1], e[2]}
+		for _, v := range e {
+			norm := 0.0
+			if e[0] > 0 {
+				norm = v / e[0]
 			}
+			row = append(row, norm)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// Table2Cell holds one technique's metric column of the paper's Table II.
-type Table2Cell struct {
-	ISIDistortionCycles float64
-	DisorderFrac        float64
-	ThroughputPerMs     float64
-	MaxLatencyCycles    int64
-}
-
-// Table2Row compares PACMAN and the proposed PSO on one realistic
-// application.
-type Table2Row struct {
-	App    string
-	Pacman Table2Cell
-	PSO    Table2Cell
-}
-
-// RunTable2 regenerates the paper's Table II: ISI distortion, spike
-// disorder, throughput and latency for the four realistic applications on a
-// tightly provisioned 4-crossbar architecture.
-func RunTable2(opts ExpOptions) ([]Table2Row, error) {
-	return runTable2(context.Background(), NewPipeline, opts)
-}
-
-func runTable2(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Table2Row, error) {
+// table2Rows regenerates the paper's Table II: ISI distortion, spike
+// disorder, throughput and latency for the four realistic applications on
+// a tightly provisioned 4-crossbar architecture, one row per application
+// and technique (PACMAN, then the proposed PSO).
+func table2Rows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	durations := map[string]int64{"HW": 1000, "IS": 1000, "HD": 1000, "HE": 10000}
 	var workloads []workload
 	for _, name := range apps.RealisticNames() {
@@ -336,48 +284,22 @@ func runTable2(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Tabl
 		return nil, err
 	}
 	techniques := []Partitioner{Pacman, opts.pso(opts.seed())}
-	cells, err := sweepGrid(ctx, opts, len(workloads), len(techniques),
-		func(ctx context.Context, w, t int) (Table2Cell, error) {
+	return sweepGrid(ctx, opts, len(workloads), len(techniques),
+		func(ctx context.Context, w, t int) ([]any, error) {
 			rep, err := pipelines[w].Run(ctx, techniques[t])
 			if err != nil {
-				return Table2Cell{}, fmt.Errorf("snnmap: %s on %s: %w", techniques[t].Name(), workloads[w].name, err)
+				return nil, fmt.Errorf("snnmap: %s on %s: %w", techniques[t].Name(), workloads[w].name, err)
 			}
-			return Table2Cell{
-				ISIDistortionCycles: rep.Metrics.ISIAvgCycles,
-				DisorderFrac:        rep.Metrics.DisorderFrac,
-				ThroughputPerMs:     rep.Metrics.ThroughputPerMs,
-				MaxLatencyCycles:    rep.Metrics.MaxLatencyCycles,
-			}, nil
+			return []any{workloads[w].name, rep.Technique,
+				rep.Metrics.ISIAvgCycles, rep.Metrics.DisorderFrac,
+				rep.Metrics.ThroughputPerMs, rep.Metrics.MaxLatencyCycles}, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table2Row, 0, len(workloads))
-	for w, wl := range workloads {
-		rows = append(rows, Table2Row{App: wl.name, Pacman: cells[w][0], PSO: cells[w][1]})
-	}
-	return rows, nil
 }
 
-// Fig6Row is one X-axis point of the paper's Fig. 6 architecture
-// exploration: energies and worst-case latency at one crossbar size.
-type Fig6Row struct {
-	NeuronsPerCrossbar int
-	Crossbars          int
-	LocalEnergyUJ      float64
-	GlobalEnergyUJ     float64
-	TotalEnergyUJ      float64
-	MaxLatencyCycles   int64
-}
-
-// RunFig6 regenerates the paper's Fig. 6: local/global/total synapse energy
-// and worst-case interconnect latency for the digit recognition application
-// as the crossbar size grows from 90 to 1440 neurons.
-func RunFig6(opts ExpOptions) ([]Fig6Row, error) {
-	return runFig6(context.Background(), NewPipeline, opts)
-}
-
-func runFig6(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Fig6Row, error) {
+// fig6Rows regenerates the paper's Fig. 6: local/global/total synapse
+// energy and worst-case interconnect latency for the digit recognition
+// application as the crossbar size grows from 90 to 1440 neurons.
+func fig6Rows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	app, err := apps.DigitRecognition(AppConfig{Seed: opts.seed(), DurationMs: opts.duration(1000)})
 	if err != nil {
 		return nil, err
@@ -385,48 +307,31 @@ func runFig6(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Fig6Ro
 	sizes := []int{90, 180, 360, 720, 1080, 1440}
 	pso := opts.pso(opts.seed())
 	results := engine.Sweep(ctx, opts.engineConfig(), sizes,
-		func(ctx context.Context, nc int) (Fig6Row, error) {
+		func(ctx context.Context, nc int) ([]any, error) {
 			// The architecture changes at every sweep point, so each cell
 			// opens its own session; the factory is still the reuse seam
 			// (a caching factory can serve repeated sweeps warm).
 			arch := hardware.ForNeurons(app.Graph.Neurons, nc)
 			pl, err := pf(app, arch)
 			if err != nil {
-				return Fig6Row{}, err
+				return nil, err
 			}
 			rep, err := pl.Run(ctx, pso)
 			if err != nil {
-				return Fig6Row{}, err
+				return nil, err
 			}
-			return Fig6Row{
-				NeuronsPerCrossbar: nc,
-				Crossbars:          arch.Crossbars,
-				LocalEnergyUJ:      rep.LocalEnergyPJ / 1e6,
-				GlobalEnergyUJ:     rep.GlobalEnergyPJ / 1e6,
-				TotalEnergyUJ:      rep.TotalEnergyPJ / 1e6,
-				MaxLatencyCycles:   rep.Metrics.MaxLatencyCycles,
-			}, nil
+			return []any{nc, arch.Crossbars,
+				rep.LocalEnergyPJ / 1e6, rep.GlobalEnergyPJ / 1e6, rep.TotalEnergyPJ / 1e6,
+				rep.Metrics.MaxLatencyCycles}, nil
 		})
 	return valuesNamed(results, func(i int) string { return fmt.Sprintf("Fig6 at Nc=%d", sizes[i]) })
 }
 
-// Fig7Point is one (application, swarm size) sample of the paper's Fig. 7.
-type Fig7Point struct {
-	App        string
-	SwarmSize  int
-	EnergyPJ   float64
-	Normalized float64 // energy / best energy across the app's sweep
-}
-
-// RunFig7 regenerates the paper's Fig. 7: interconnect energy versus PSO
+// fig7Rows regenerates the paper's Fig. 7: interconnect energy versus PSO
 // swarm size (iterations fixed at 100) for two realistic and two synthetic
 // applications, normalized per application to the sweep's minimum.
 // Heuristic seeding is disabled so the sweep reflects pure swarm behavior.
-func RunFig7(opts ExpOptions) ([]Fig7Point, error) {
-	return runFig7(context.Background(), NewPipeline, opts)
-}
-
-func runFig7(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Fig7Point, error) {
+func fig7Rows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	workloads := []workload{
 		{"hello_world", apps.Builder(apps.HelloWorld), 1000},
 		{"heartbeat_estimation", nil, 10000},
@@ -477,9 +382,9 @@ func runFig7(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Fig7Po
 	if err != nil {
 		return nil, err
 	}
-	var points []Fig7Point
+	var rows [][]any
 	for w, wl := range workloads {
-		sweep := energies[w]
+		sweep := energies[w*len(sizes) : (w+1)*len(sizes)]
 		best := sweep[0]
 		for _, e := range sweep {
 			if e < best {
@@ -491,53 +396,29 @@ func runFig7(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Fig7Po
 			if best > 0 {
 				norm = sweep[i] / best
 			}
-			points = append(points, Fig7Point{
-				App: wl.name, SwarmSize: swarm,
-				EnergyPJ: sweep[i], Normalized: norm,
-			})
+			rows = append(rows, []any{wl.name, swarm, sweep[i], norm})
 		}
 	}
-	return points, nil
+	return rows, nil
 }
 
-// AccuracyReport quantifies the §V-B claim that reducing ISI distortion
-// improves the temporally coded heartbeat estimation.
-type AccuracyReport struct {
-	TrueBPM float64
-	// SourceBPM is the estimate from undistorted spike creation times.
-	SourceBPM float64
-	// Rows compare techniques under a heavily time-multiplexed (slow)
-	// interconnect where congestion reaches the temporal-code scale.
-	Rows []AccuracyRow
-}
-
-// AccuracyRow is one technique's outcome in the accuracy experiment.
-type AccuracyRow struct {
-	Technique           string
-	ISIDistortionCycles float64
-	EstimatedBPM        float64
-	// ErrorPct is |estimate − truth| / truth × 100 for the mean rate.
-	ErrorPct float64
-	// IntervalErrorPct is the mean absolute per-beat-interval error of
-	// the arrival-time beat sequence against the source beat sequence —
-	// the accuracy of instantaneous heart-rate estimation, which ISI
-	// distortion directly corrupts.
-	IntervalErrorPct float64
-}
-
-// RunAccuracy regenerates the heartbeat-accuracy experiment of §V-B. The
-// heartbeat LSM is mapped with PACMAN and PSO onto an interconnect whose
-// clock is provisioned just above the PACMAN mapping's average load, so
-// congestion-induced queueing reaches the millisecond scale of the
-// temporal code. The heart rate is then re-estimated from the UP-channel
-// encoder spikes as they *arrive* across the interconnect: the technique
-// with lower interconnect traffic suffers less ISI distortion and its
-// estimate stays closer to the truth.
-func RunAccuracy(opts ExpOptions) (*AccuracyReport, error) {
-	return runAccuracy(context.Background(), NewPipeline, opts)
-}
-
-func runAccuracy(ctx context.Context, pf PipelineFactory, opts ExpOptions) (*AccuracyReport, error) {
+// accuracyRows regenerates the heartbeat-accuracy experiment of §V-B,
+// quantifying the claim that reducing ISI distortion improves the
+// temporally coded heartbeat estimation. The heartbeat LSM is mapped with
+// PACMAN and PSO onto an interconnect whose clock is provisioned just
+// above the PACMAN mapping's average load, so congestion-induced queueing
+// reaches the millisecond scale of the temporal code. The heart rate is
+// then re-estimated from the UP-channel encoder spikes as they *arrive*
+// across the interconnect: the technique with lower interconnect traffic
+// suffers less ISI distortion and its estimate stays closer to the truth.
+//
+// Per technique, rate_error_pct is |estimate − truth| / truth × 100 for
+// the mean rate, and interval_error_pct is the mean absolute
+// per-beat-interval error of the arrival-time beat sequence against the
+// source beat sequence — the accuracy of instantaneous heart-rate
+// estimation, which ISI distortion directly corrupts. source_bpm is the
+// estimate from undistorted spike creation times.
+func accuracyRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	he, err := apps.Heartbeat(apps.HeartbeatConfig{
 		Config: AppConfig{Seed: opts.seed(), DurationMs: opts.duration(20000)},
 		BPM:    72,
@@ -578,40 +459,27 @@ func runAccuracy(ctx context.Context, pf PipelineFactory, opts ExpOptions) (*Acc
 		return nil, err
 	}
 
-	out := &AccuracyReport{TrueBPM: he.TrueBPM}
-	srcEst := apps.EstimateBPMMedian(he.Up, 250, 4)
-	out.SourceBPM = srcEst
-
+	sourceBPM := apps.EstimateBPMMedian(he.Up, 250, 4)
 	srcBeats := apps.BurstStarts(he.Up, 250, 4)
-	accTechniques := []Partitioner{Pacman, opts.pso(opts.seed())}
-	accResults := engine.Sweep(ctx, opts.engineConfig(), accTechniques,
-		func(ctx context.Context, pt Partitioner) (AccuracyRow, error) {
+	techniques := []Partitioner{Pacman, opts.pso(opts.seed())}
+	results := engine.Sweep(ctx, opts.engineConfig(), techniques,
+		func(ctx context.Context, pt Partitioner) ([]any, error) {
 			rep, err := pl.Run(ctx, pt)
 			if err != nil {
-				return AccuracyRow{}, err
+				return nil, err
 			}
 			arrival := upChannelArrivals(rep.Deliveries, upNeuron, arch.Crossbars, arch.CyclesPerMs)
 			arrTrain := toTrain(arrival)
 			est := apps.EstimateBPMMedian(arrTrain, 250, 4)
 			errPct := 0.0
-			if out.TrueBPM > 0 {
-				errPct = abs64(est-out.TrueBPM) / out.TrueBPM * 100
+			if he.TrueBPM > 0 {
+				errPct = abs64(est-he.TrueBPM) / he.TrueBPM * 100
 			}
 			arrBeats := apps.BurstStarts(arrTrain, 250, 4)
-			return AccuracyRow{
-				Technique:           rep.Technique,
-				ISIDistortionCycles: rep.Metrics.ISIAvgCycles,
-				EstimatedBPM:        est,
-				ErrorPct:            errPct,
-				IntervalErrorPct:    apps.BeatIntervalError(srcBeats, arrBeats) * 100,
-			}, nil
+			return []any{rep.Technique, rep.Metrics.ISIAvgCycles, est, errPct,
+				apps.BeatIntervalError(srcBeats, arrBeats) * 100, he.TrueBPM, sourceBPM}, nil
 		})
-	rows, err := valuesNamed(accResults, func(i int) string { return "accuracy " + accTechniques[i].Name() })
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = rows
-	return out, nil
+	return valuesNamed(results, func(i int) string { return "accuracy " + techniques[i].Name() })
 }
 
 // upChannelArrivals reconstructs the UP-channel train as the liquid's
@@ -635,22 +503,12 @@ func upChannelArrivals(deliveries []Delivery, upNeuron int32, crossbars int, cyc
 	return best
 }
 
-// AblationRow is one technique's outcome in the optimizer ablation.
-type AblationRow struct {
-	Technique string
-	Cost      int64
-	WallClock time.Duration
-}
-
-// RunOptimizerAblation compares the PSO against simulated annealing, the
+// optimizerRows compares the PSO against simulated annealing, the
 // genetic algorithm, greedy and random partitioning on one application —
 // the quantitative backing for the paper's §III claim that PSO converges
-// faster than GA/SA at comparable quality.
-func RunOptimizerAblation(opts ExpOptions) ([]AblationRow, error) {
-	return runOptimizerAblation(context.Background(), NewPipeline, opts)
-}
-
-func runOptimizerAblation(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]AblationRow, error) {
+// faster than GA/SA at comparable quality. Each row is a technique's
+// fitness and its solve wall clock.
+func optimizerRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	app, err := apps.Synthetic(AppConfig{Seed: opts.seed(), DurationMs: opts.duration(1000)}, 2, 200)
 	if err != nil {
 		return nil, err
@@ -688,38 +546,21 @@ func runOptimizerAblation(ctx context.Context, pf PipelineFactory, opts ExpOptio
 		func(_ context.Context, pt Partitioner) (*partition.Result, error) {
 			return partition.Solve(pt, p)
 		})
-	rows := make([]AblationRow, 0, len(results))
+	rows := make([][]any, 0, len(results))
 	for i, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("snnmap: optimizer ablation %s: %w", techniques[i].Name(), r.Err)
 		}
-		rows = append(rows, AblationRow{
-			Technique: r.Value.Technique,
-			Cost:      r.Value.Cost,
-			WallClock: r.Elapsed,
-		})
+		rows = append(rows, []any{r.Value.Technique, r.Value.Cost, r.Elapsed})
 	}
 	return rows, nil
 }
 
-// AERModeRow is one packetization mode's outcome in the multicast ablation.
-type AERModeRow struct {
-	Mode       string
-	Injected   int64
-	HopCount   int64
-	EnergyPJ   float64
-	AvgLatency float64
-}
-
-// RunAERModeAblation quantifies the Noxim++ multicast extension: the same
-// NEUTRAMS mapping (whose scattered placement gives spikes multi-crossbar
-// destination sets, the case multicast exists for) replayed with
-// per-synapse, per-crossbar and multicast AER packetization.
-func RunAERModeAblation(opts ExpOptions) ([]AERModeRow, error) {
-	return runAERModeAblation(context.Background(), NewPipeline, opts)
-}
-
-func runAERModeAblation(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]AERModeRow, error) {
+// aerModeRows quantifies the Noxim++ multicast extension: the
+// same NEUTRAMS mapping (whose scattered placement gives spikes
+// multi-crossbar destination sets, the case multicast exists for)
+// replayed with per-synapse, per-crossbar and multicast AER packetization.
+func aerModeRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	app, err := apps.DigitRecognition(AppConfig{Seed: opts.seed(), DurationMs: opts.duration(1000)})
 	if err != nil {
 		return nil, err
@@ -735,40 +576,23 @@ func runAERModeAblation(ctx context.Context, pf PipelineFactory, opts ExpOptions
 	}
 	modes := []hardware.AERMode{hardware.PerSynapse, hardware.PerCrossbar, hardware.MulticastAER}
 	results := engine.Sweep(ctx, opts.engineConfig(), modes,
-		func(_ context.Context, mode hardware.AERMode) (AERModeRow, error) {
+		func(_ context.Context, mode hardware.AERMode) ([]any, error) {
 			a := arch
 			a.AER = mode
 			nr, err := SimulateTraffic(app.Graph, res.Assign, a)
 			if err != nil {
-				return AERModeRow{}, err
+				return nil, err
 			}
-			return AERModeRow{
-				Mode:       mode.String(),
-				Injected:   nr.Stats.Injected,
-				HopCount:   nr.Stats.PacketHops,
-				EnergyPJ:   nr.Stats.EnergyPJ,
-				AvgLatency: nr.Stats.AvgLatency,
-			}, nil
+			return []any{mode.String(), nr.Stats.Injected, nr.Stats.PacketHops,
+				nr.Stats.EnergyPJ, nr.Stats.AvgLatency}, nil
 		})
 	return valuesNamed(results, func(i int) string { return "AER ablation " + modes[i].String() })
 }
 
-// TopologyRow is one interconnect topology's outcome in the topology
-// ablation (NoC-tree as in CxQuad versus NoC-mesh as in TrueNorth).
-type TopologyRow struct {
-	Topology   string
-	EnergyPJ   float64
-	AvgLatency float64
-	MaxLatency int64
-}
-
-// RunTopologyAblation compares tree and mesh interconnects under the same
-// PSO mapping of the image smoothing application.
-func RunTopologyAblation(opts ExpOptions) ([]TopologyRow, error) {
-	return runTopologyAblation(context.Background(), NewPipeline, opts)
-}
-
-func runTopologyAblation(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]TopologyRow, error) {
+// topologyRows compares tree and mesh interconnects (NoC-tree as
+// in CxQuad versus NoC-mesh as in TrueNorth) under the same PSO mapping of
+// the image smoothing application.
+func topologyRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	app, err := apps.ImageSmoothing(AppConfig{Seed: opts.seed(), DurationMs: opts.duration(1000)})
 	if err != nil {
 		return nil, err
@@ -788,21 +612,17 @@ func runTopologyAblation(ctx context.Context, pf PipelineFactory, opts ExpOption
 		}},
 	}
 	results := engine.Sweep(ctx, opts.engineConfig(), kinds,
-		func(ctx context.Context, kind variant) (TopologyRow, error) {
+		func(ctx context.Context, kind variant) ([]any, error) {
 			pl, err := pf(app, kind.make())
 			if err != nil {
-				return TopologyRow{}, err
+				return nil, err
 			}
 			rep, err := pl.Run(ctx, pso)
 			if err != nil {
-				return TopologyRow{}, err
+				return nil, err
 			}
-			return TopologyRow{
-				Topology:   kind.name,
-				EnergyPJ:   rep.GlobalEnergyPJ,
-				AvgLatency: rep.Metrics.AvgLatencyCycles,
-				MaxLatency: rep.Metrics.MaxLatencyCycles,
-			}, nil
+			return []any{kind.name, rep.GlobalEnergyPJ,
+				rep.Metrics.AvgLatencyCycles, rep.Metrics.MaxLatencyCycles}, nil
 		})
 	return valuesNamed(results, func(i int) string { return "topology ablation " + kinds[i].name })
 }

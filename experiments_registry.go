@@ -3,12 +3,15 @@ package snnmap
 import "context"
 
 // experiment is the function-backed Experiment every built-in driver
-// registers through: the typed Run* result is converted to the common
-// Table shape by the driver-specific tabulate closure.
+// registers through. It owns the result schema: rows returns one cell
+// slice per table row, in the order of columns, and Run assembles the
+// Table — so a table's Name is its registry key by construction.
 type experiment struct {
 	name     string
 	describe string
-	run      func(ctx context.Context, pf PipelineFactory, opts ExpOptions) (*Table, error)
+	title    string
+	columns  []Column
+	rows     func(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error)
 }
 
 func (e experiment) Name() string     { return e.name }
@@ -20,192 +23,119 @@ func (e experiment) Run(ctx context.Context, pf PipelineFactory, opts ExpOptions
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return e.run(ctx, pf, opts)
-}
-
-func fig5Table(rows []Fig5Row) (*Table, error) {
-	t := NewTable("fig5", "Figure 5 — Normalized energy on the global synapse interconnect",
-		Column{"app", ColString}, Column{"neurons", ColInt}, Column{"synapses", ColInt},
-		Column{"energy_neutrams_pj", ColFloat}, Column{"energy_pacman_pj", ColFloat}, Column{"energy_pso_pj", ColFloat},
-		Column{"norm_neutrams", ColFloat}, Column{"norm_pacman", ColFloat}, Column{"norm_pso", ColFloat},
-	)
+	rows, err := e.rows(ctx, pf, opts)
+	if err != nil {
+		return nil, err
+	}
+	t := NewTable(e.name, e.title, e.columns...)
 	for _, r := range rows {
-		err := t.AddRow(r.App, r.Neurons, r.Synapses,
-			r.EnergyPJ["NEUTRAMS"], r.EnergyPJ["PACMAN"], r.EnergyPJ["PSO"],
-			r.Normalized["NEUTRAMS"], r.Normalized["PACMAN"], r.Normalized["PSO"])
-		if err != nil {
+		if err := t.AddRow(r...); err != nil {
 			return nil, err
 		}
 	}
 	return t, nil
-}
-
-func table2Table(rows []Table2Row) (*Table, error) {
-	t := NewTable("table2", "Table II — SNN metric evaluation for realistic applications",
-		Column{"app", ColString}, Column{"technique", ColString},
-		Column{"isi_distortion_cycles", ColFloat}, Column{"disorder_frac", ColFloat},
-		Column{"throughput_per_ms", ColFloat}, Column{"max_latency_cycles", ColInt},
-	)
-	for _, r := range rows {
-		for _, cell := range []struct {
-			technique string
-			c         Table2Cell
-		}{{"PACMAN", r.Pacman}, {"PSO", r.PSO}} {
-			err := t.AddRow(r.App, cell.technique,
-				cell.c.ISIDistortionCycles, cell.c.DisorderFrac,
-				cell.c.ThroughputPerMs, cell.c.MaxLatencyCycles)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t, nil
-}
-
-func fig6Table(rows []Fig6Row) (*Table, error) {
-	t := NewTable("fig6", "Figure 6 — Architecture exploration (digit recognition)",
-		Column{"neurons_per_crossbar", ColInt}, Column{"crossbars", ColInt},
-		Column{"local_energy_uj", ColFloat}, Column{"global_energy_uj", ColFloat},
-		Column{"total_energy_uj", ColFloat}, Column{"max_latency_cycles", ColInt},
-	)
-	for _, r := range rows {
-		err := t.AddRow(r.NeuronsPerCrossbar, r.Crossbars,
-			r.LocalEnergyUJ, r.GlobalEnergyUJ, r.TotalEnergyUJ, r.MaxLatencyCycles)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-func fig7Table(points []Fig7Point) (*Table, error) {
-	t := NewTable("fig7", "Figure 7 — Exploration with swarm size (iterations = 100)",
-		Column{"app", ColString}, Column{"swarm_size", ColInt},
-		Column{"energy_pj", ColFloat}, Column{"normalized", ColFloat},
-	)
-	for _, p := range points {
-		if err := t.AddRow(p.App, p.SwarmSize, p.EnergyPJ, p.Normalized); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-func accuracyTable(rep *AccuracyReport) (*Table, error) {
-	t := NewTable("accuracy", "§V-B — Heartbeat estimation accuracy vs ISI distortion",
-		Column{"technique", ColString}, Column{"isi_distortion_cycles", ColFloat},
-		Column{"estimated_bpm", ColFloat}, Column{"rate_error_pct", ColFloat},
-		Column{"interval_error_pct", ColFloat},
-		Column{"true_bpm", ColFloat}, Column{"source_bpm", ColFloat},
-	)
-	for _, r := range rep.Rows {
-		err := t.AddRow(r.Technique, r.ISIDistortionCycles, r.EstimatedBPM,
-			r.ErrorPct, r.IntervalErrorPct, rep.TrueBPM, rep.SourceBPM)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-func ablationOptimizerTable(rows []AblationRow) (*Table, error) {
-	t := NewTable("ablation-optimizer", "Ablation — optimizer comparison (synthetic 2x200)",
-		Column{"technique", ColString}, Column{"cost", ColInt}, Column{"wall_clock", ColDuration},
-	)
-	for _, r := range rows {
-		if err := t.AddRow(r.Technique, r.Cost, r.WallClock); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-func ablationAERTable(rows []AERModeRow) (*Table, error) {
-	t := NewTable("ablation-aer", "Ablation — AER packetization (digit recognition, NEUTRAMS mapping)",
-		Column{"mode", ColString}, Column{"injected", ColInt}, Column{"hops", ColInt},
-		Column{"energy_pj", ColFloat}, Column{"avg_latency_cycles", ColFloat},
-	)
-	for _, r := range rows {
-		if err := t.AddRow(r.Mode, r.Injected, r.HopCount, r.EnergyPJ, r.AvgLatency); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-func ablationTopologyTable(rows []TopologyRow) (*Table, error) {
-	t := NewTable("ablation-topology", "Ablation — interconnect topology (image smoothing, PSO mapping)",
-		Column{"topology", ColString}, Column{"energy_pj", ColFloat},
-		Column{"avg_latency_cycles", ColFloat}, Column{"max_latency_cycles", ColInt},
-	)
-	for _, r := range rows {
-		if err := t.AddRow(r.Topology, r.EnergyPJ, r.AvgLatency, r.MaxLatency); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-func scenariosTable(rows []ScenarioRow) (*Table, error) {
-	t := NewTable("scenarios", "Generated workload families — technique × interconnect sweep",
-		Column{"app", ColString}, Column{"arch", ColString}, Column{"technique", ColString},
-		Column{"neurons", ColInt}, Column{"synapses", ColInt},
-		Column{"local_synapses", ColInt}, Column{"global_synapses", ColInt},
-		Column{"traffic", ColInt}, Column{"total_energy_pj", ColFloat},
-		Column{"avg_latency_cycles", ColFloat},
-	)
-	for _, r := range rows {
-		err := t.AddRow(r.App, r.Arch, r.Technique, r.Neurons, r.Synapses,
-			r.LocalSynapses, r.GlobalSynapses, r.Traffic, r.TotalEnergyPJ, r.AvgLatency)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-func remapTable(rows []RemapRow) (*Table, error) {
-	t := NewTable("remap", "Incremental remap vs static and from-scratch mapping under workload drift (gen:modular, hypercut)",
-		Column{"app", ColString}, Column{"drift", ColFloat},
-		Column{"rewired_synapses", ColInt}, Column{"shifted_neurons", ColInt},
-		Column{"touched_neurons", ColInt},
-		Column{"static_cost", ColInt}, Column{"remap_cost", ColInt}, Column{"resolve_cost", ColInt},
-		Column{"remap_wall", ColDuration}, Column{"resolve_wall", ColDuration},
-	)
-	for _, r := range rows {
-		err := t.AddRow(r.App, r.Drift, r.RewiredSynapses, r.ShiftedNeurons, r.TouchedNeurons,
-			r.StaticCost, r.RemapCost, r.ResolveCost, r.RemapWall, r.ResolveWall)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// tabulated adapts a typed driver plus its Table converter to the
-// experiment run shape.
-func tabulated[R any](drive func(context.Context, PipelineFactory, ExpOptions) (R, error), tab func(R) (*Table, error)) func(context.Context, PipelineFactory, ExpOptions) (*Table, error) {
-	return func(ctx context.Context, pf PipelineFactory, opts ExpOptions) (*Table, error) {
-		rows, err := drive(ctx, pf, opts)
-		if err != nil {
-			return nil, err
-		}
-		return tab(rows)
-	}
 }
 
 func init() {
 	for _, e := range []experiment{
-		{"fig5", "normalized interconnect energy: NEUTRAMS vs PACMAN vs PSO (paper Fig. 5)", tabulated(runFig5, fig5Table)},
-		{"table2", "ISI distortion, disorder, throughput, latency per realistic app (paper Table II)", tabulated(runTable2, table2Table)},
-		{"fig6", "architecture exploration: crossbar size sweep on digit recognition (paper Fig. 6)", tabulated(runFig6, fig6Table)},
-		{"fig7", "PSO swarm-size exploration (paper Fig. 7)", tabulated(runFig7, fig7Table)},
-		{"accuracy", "heartbeat estimation accuracy vs ISI distortion (paper §V-B)", tabulated(runAccuracy, accuracyTable)},
-		{"ablation-optimizer", "optimizer comparison: PSO vs SA/GA/greedy/KL/random (paper §III claim)", tabulated(runOptimizerAblation, ablationOptimizerTable)},
-		{"ablation-aer", "AER packetization: per-synapse vs per-crossbar vs multicast (Noxim++ extension)", tabulated(runAERModeAblation, ablationAERTable)},
-		{"ablation-topology", "interconnect topology: NoC-tree vs NoC-mesh under one PSO mapping", tabulated(runTopologyAblation, ablationTopologyTable)},
-		{"scenarios", "generated workload families (internal/genapp) × techniques × tree/mesh interconnects", tabulated(runScenarios, scenariosTable)},
-		{"remap", "incremental remap vs static/from-scratch mapping across drift magnitudes (hypercut)", tabulated(runRemap, remapTable)},
+		{
+			"fig5", "normalized interconnect energy: NEUTRAMS vs PACMAN vs PSO (paper Fig. 5)",
+			"Figure 5 — Normalized energy on the global synapse interconnect",
+			[]Column{
+				{"app", ColString}, {"neurons", ColInt}, {"synapses", ColInt},
+				{"energy_neutrams_pj", ColFloat}, {"energy_pacman_pj", ColFloat}, {"energy_pso_pj", ColFloat},
+				{"norm_neutrams", ColFloat}, {"norm_pacman", ColFloat}, {"norm_pso", ColFloat},
+			},
+			fig5Rows,
+		},
+		{
+			"table2", "ISI distortion, disorder, throughput, latency per realistic app (paper Table II)",
+			"Table II — SNN metric evaluation for realistic applications",
+			[]Column{
+				{"app", ColString}, {"technique", ColString},
+				{"isi_distortion_cycles", ColFloat}, {"disorder_frac", ColFloat},
+				{"throughput_per_ms", ColFloat}, {"max_latency_cycles", ColInt},
+			},
+			table2Rows,
+		},
+		{
+			"fig6", "architecture exploration: crossbar size sweep on digit recognition (paper Fig. 6)",
+			"Figure 6 — Architecture exploration (digit recognition)",
+			[]Column{
+				{"neurons_per_crossbar", ColInt}, {"crossbars", ColInt},
+				{"local_energy_uj", ColFloat}, {"global_energy_uj", ColFloat},
+				{"total_energy_uj", ColFloat}, {"max_latency_cycles", ColInt},
+			},
+			fig6Rows,
+		},
+		{
+			"fig7", "PSO swarm-size exploration (paper Fig. 7)",
+			"Figure 7 — Exploration with swarm size (iterations = 100)",
+			[]Column{
+				{"app", ColString}, {"swarm_size", ColInt},
+				{"energy_pj", ColFloat}, {"normalized", ColFloat},
+			},
+			fig7Rows,
+		},
+		{
+			"accuracy", "heartbeat estimation accuracy vs ISI distortion (paper §V-B)",
+			"§V-B — Heartbeat estimation accuracy vs ISI distortion",
+			[]Column{
+				{"technique", ColString}, {"isi_distortion_cycles", ColFloat},
+				{"estimated_bpm", ColFloat}, {"rate_error_pct", ColFloat},
+				{"interval_error_pct", ColFloat},
+				{"true_bpm", ColFloat}, {"source_bpm", ColFloat},
+			},
+			accuracyRows,
+		},
+		{
+			"ablation-optimizer", "optimizer comparison: PSO vs SA/GA/greedy/KL/random (paper §III claim)",
+			"Ablation — optimizer comparison (synthetic 2x200)",
+			[]Column{{"technique", ColString}, {"cost", ColInt}, {"wall_clock", ColDuration}},
+			optimizerRows,
+		},
+		{
+			"ablation-aer", "AER packetization: per-synapse vs per-crossbar vs multicast (Noxim++ extension)",
+			"Ablation — AER packetization (digit recognition, NEUTRAMS mapping)",
+			[]Column{
+				{"mode", ColString}, {"injected", ColInt}, {"hops", ColInt},
+				{"energy_pj", ColFloat}, {"avg_latency_cycles", ColFloat},
+			},
+			aerModeRows,
+		},
+		{
+			"ablation-topology", "interconnect topology: NoC-tree vs NoC-mesh under one PSO mapping",
+			"Ablation — interconnect topology (image smoothing, PSO mapping)",
+			[]Column{
+				{"topology", ColString}, {"energy_pj", ColFloat},
+				{"avg_latency_cycles", ColFloat}, {"max_latency_cycles", ColInt},
+			},
+			topologyRows,
+		},
+		{
+			"scenarios", "generated workload families (internal/genapp) × techniques × tree/mesh interconnects",
+			"Generated workload families — technique × interconnect sweep",
+			[]Column{
+				{"app", ColString}, {"arch", ColString}, {"technique", ColString},
+				{"neurons", ColInt}, {"synapses", ColInt},
+				{"local_synapses", ColInt}, {"global_synapses", ColInt},
+				{"traffic", ColInt}, {"total_energy_pj", ColFloat},
+				{"avg_latency_cycles", ColFloat},
+			},
+			scenarioRows,
+		},
+		{
+			"remap", "incremental remap vs static/from-scratch mapping across drift magnitudes (hypercut)",
+			"Incremental remap vs static and from-scratch mapping under workload drift (gen:modular, hypercut)",
+			[]Column{
+				{"app", ColString}, {"drift", ColFloat},
+				{"rewired_synapses", ColInt}, {"shifted_neurons", ColInt},
+				{"touched_neurons", ColInt},
+				{"static_cost", ColInt}, {"remap_cost", ColInt}, {"resolve_cost", ColInt},
+				{"remap_wall", ColDuration}, {"resolve_wall", ColDuration},
+			},
+			remapRows,
+		},
 	} {
 		RegisterExperiment(e)
 	}

@@ -11,27 +11,6 @@ import (
 	"repro/internal/partition"
 )
 
-// RemapRow is one drift point of the incremental-remap experiment: a base
-// hypercut mapping carried across a workload perturbation three ways —
-// held static, incrementally remapped, and re-solved from scratch.
-type RemapRow struct {
-	App   string
-	Drift float64
-	// RewiredSynapses and ShiftedNeurons size the perturbation;
-	// TouchedNeurons is the remap worklist seed the delta implies.
-	RewiredSynapses int
-	ShiftedNeurons  int
-	TouchedNeurons  int
-	// StaticCost scores the unchanged base assignment on the drifted
-	// problem; RemapCost and ResolveCost score the incremental remap and
-	// the from-scratch re-solve there.
-	StaticCost  int64
-	RemapCost   int64
-	ResolveCost int64
-	RemapWall   time.Duration
-	ResolveWall time.Duration
-}
-
 // DriftDelta builds a deterministic workload perturbation of magnitude
 // frac: frac of the synapses are rewired to a fresh random target (same
 // source, so characterized spike trains stay meaningful) and frac of the
@@ -67,13 +46,16 @@ func remapDrifts(quick bool) []float64 {
 	return []float64{0.02, 0.05, 0.1, 0.2, 0.4}
 }
 
-// RunRemap measures incremental remapping against the static and
-// from-scratch alternatives across drift magnitudes.
-func RunRemap(opts ExpOptions) ([]RemapRow, error) {
-	return runRemap(context.Background(), NewPipeline, opts)
-}
-
-func runRemap(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]RemapRow, error) {
+// remapRows measures incremental remapping against the static and
+// from-scratch alternatives across drift magnitudes. Each row carries a
+// base hypercut mapping across one workload perturbation three ways:
+// held static, incrementally remapped, and re-solved from scratch.
+// rewired_synapses and shifted_neurons size the perturbation;
+// touched_neurons is the remap worklist seed the delta implies.
+// static_cost scores the unchanged base assignment on the drifted
+// problem; remap_cost and resolve_cost score the incremental remap and
+// the from-scratch re-solve there.
+func remapRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	n := 512
 	if opts.Quick {
 		n = 96
@@ -98,48 +80,34 @@ func runRemap(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]Remap
 
 	drifts := remapDrifts(opts.Quick)
 	results := engine.Sweep(ctx, opts.engineConfig(), drifts,
-		func(ctx context.Context, frac float64) (RemapRow, error) {
+		func(ctx context.Context, frac float64) ([]any, error) {
 			// Seed the perturbation from the drift magnitude so every
 			// point has its own deterministic delta.
 			delta := DriftDelta(app.Graph, frac, opts.seed()+int64(frac*1000))
 			g2, err := delta.Apply(app.Graph)
 			if err != nil {
-				return RemapRow{}, err
+				return nil, err
 			}
 			p2, err := partition.NewProblem(g2, arch.Crossbars, arch.CrossbarSize)
 			if err != nil {
-				return RemapRow{}, err
+				return nil, err
 			}
-			row := RemapRow{
-				App:             app.Name,
-				Drift:           frac,
-				RewiredSynapses: len(delta.RemoveSynapses),
-				ShiftedNeurons:  len(delta.RateShifts),
-				TouchedNeurons:  len(delta.Touched(g2)),
-				StaticCost:      p2.Cost(base.Assign),
-			}
+			row := []any{app.Name, frac, len(delta.RemoveSynapses), len(delta.RateShifts),
+				len(delta.Touched(g2)), p2.Cost(base.Assign)}
 			start := time.Now()
 			remapped, err := pl.Remap(ctx, base, delta)
 			if err != nil {
-				return RemapRow{}, err
+				return nil, err
 			}
-			row.RemapWall = time.Since(start)
-			row.RemapCost = remapped.Cost
+			remapWall := time.Since(start)
 
 			start = time.Now()
 			resolved, err := partition.Solve(partition.HyperCut{}, p2)
 			if err != nil {
-				return RemapRow{}, err
+				return nil, err
 			}
-			row.ResolveWall = time.Since(start)
-			row.ResolveCost = resolved.Cost
-			return row, nil
+			resolveWall := time.Since(start)
+			return append(row, remapped.Cost, resolved.Cost, remapWall, resolveWall), nil
 		})
-	rows, err := valuesNamed(results, func(i int) string {
-		return fmt.Sprintf("remap drift %g", drifts[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return valuesNamed(results, func(i int) string { return fmt.Sprintf("remap drift %g", drifts[i]) })
 }

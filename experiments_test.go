@@ -1,58 +1,117 @@
 package snnmap
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/goldentest"
 )
 
 // The harness integration tests run every experiment in quick mode and
 // assert the paper's qualitative claims (orderings and curve shapes), which
-// are the reproduction targets — absolute numbers live in EXPERIMENTS.md.
-// They are skipped under -short.
+// are the reproduction targets. Every experiment without a wall-clock
+// column is also pinned byte for byte to testdata/experiment_<name>.csv,
+// recorded with
+//
+//	go run ./cmd/experiments -run <name> -quick -seed 1 -parallel 1 -format csv
+//
+// while the tests run it at Parallel: 4, so each golden check is also a
+// Parallel: 1 ≡ Parallel: 4 check. Fig. 5 is the exception: its golden
+// check reuses the shared Parallel: 1 run, which
+// TestRunFig5ParallelMatchesSequential compares with Parallel: 4. The
+// slow tests are skipped under -short.
+
+// runExperiment runs the registered experiment name and returns its table.
+func runExperiment(tb testing.TB, name string, opts ExpOptions) *Table {
+	tb.Helper()
+	e, err := LookupExperiment(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tab, err := e.Run(context.Background(), nil, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tab
+}
+
+// cell returns row i's cell in the named column of tab, failing tb when
+// the column is missing or its cells are not of type T.
+func cell[T any](tb testing.TB, tab *Table, i int, col string) T {
+	tb.Helper()
+	c := tab.Column(col)
+	if c < 0 {
+		tb.Fatalf("table %s has no column %q", tab.Name, col)
+	}
+	v, ok := tab.Rows[i][c].(T)
+	if !ok {
+		tb.Fatalf("table %s row %d column %s: cell %v is %T", tab.Name, i, col, tab.Rows[i][c], tab.Rows[i][c])
+	}
+	return v
+}
+
+// checkGolden compares tab's CSV encoding with its golden file.
+func checkGolden(t *testing.T, tab *Table) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tab.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	goldentest.Check(t, "experiment_"+tab.Name+".csv", buf.Bytes())
+}
+
+// quick4 is the option set the golden-checked tests run at.
+var quick4 = ExpOptions{Quick: true, Seed: 1, Parallel: 4}
 
 // fig5Quick memoizes one sequential quick-mode Fig. 5 run. The full
 // driver costs tens of seconds per invocation even in quick mode, and
-// two tests need rows for the identical options — TestRunFig5Shapes
-// (curve shapes) and TestRunFig5ParallelMatchesSequential (its
-// sequential reference). Sharing the run keeps both tests' assertions
-// intact while removing a third of the package's wall clock; the
-// cross-worker-count identity the sharing relies on is exactly what
+// two tests need the table for the identical options — TestRunFig5Shapes
+// (curve shapes, golden file) and TestRunFig5ParallelMatchesSequential
+// (its sequential reference). Sharing the run keeps both tests'
+// assertions intact while removing a third of the package's wall clock;
+// the cross-worker-count identity the sharing relies on is exactly what
 // TestRunFig5ParallelMatchesSequential pins.
 var fig5QuickOnce struct {
 	sync.Once
-	rows []Fig5Row
-	err  error
+	tab *Table
 }
 
-func fig5Quick(t *testing.T) []Fig5Row {
+func fig5Quick(t *testing.T) *Table {
 	t.Helper()
 	fig5QuickOnce.Do(func() {
-		fig5QuickOnce.rows, fig5QuickOnce.err = RunFig5(ExpOptions{Quick: true, Seed: 1, Parallel: 1})
+		fig5QuickOnce.tab = runExperiment(t, "fig5", ExpOptions{Quick: true, Seed: 1, Parallel: 1})
 	})
-	if fig5QuickOnce.err != nil {
-		t.Fatal(fig5QuickOnce.err)
+	if fig5QuickOnce.tab == nil {
+		t.Fatal("fig5 quick run failed in an earlier test")
 	}
-	return fig5QuickOnce.rows
+	return fig5QuickOnce.tab
 }
 
 func TestRunFig5Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
-	rows := fig5Quick(t)
-	if len(rows) != 12 {
-		t.Fatalf("rows = %d, want 8 synthetic + 4 realistic", len(rows))
+	tab := fig5Quick(t)
+	checkGolden(t, tab)
+	if len(tab.Rows) != 12 {
+		t.Fatalf("rows = %d, want 8 synthetic + 4 realistic", len(tab.Rows))
 	}
-	for _, r := range rows {
-		if r.Normalized["NEUTRAMS"] != 1.0 {
-			t.Fatalf("%s: NEUTRAMS not the normalization base: %v", r.App, r.Normalized)
+	for i := range tab.Rows {
+		app := cell[string](t, tab, i, "app")
+		neutrams := cell[float64](t, tab, i, "norm_neutrams")
+		pacman := cell[float64](t, tab, i, "norm_pacman")
+		pso := cell[float64](t, tab, i, "norm_pso")
+		if neutrams != 1.0 {
+			t.Fatalf("%s: NEUTRAMS not the normalization base: %v", app, neutrams)
 		}
 		// The paper's headline: the proposed PSO achieves the minimum
 		// energy of the three techniques.
-		pso := r.Normalized["PSO"]
-		if pso > r.Normalized["NEUTRAMS"] || pso > r.Normalized["PACMAN"] {
-			t.Fatalf("%s: PSO not minimal: %v", r.App, r.Normalized)
+		if pso > neutrams || pso > pacman {
+			t.Fatalf("%s: PSO not minimal: %v vs NEUTRAMS %v, PACMAN %v", app, pso, neutrams, pacman)
 		}
 	}
 }
@@ -61,28 +120,32 @@ func TestRunTable2Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
-	rows, err := RunTable2(ExpOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4 realistic apps", len(rows))
+	tab := runExperiment(t, "table2", quick4)
+	checkGolden(t, tab)
+	if len(tab.Rows) != 8 {
+		t.Fatalf("rows = %d, want 4 realistic apps × 2 techniques", len(tab.Rows))
 	}
 	lowerLatency := 0
-	for _, r := range rows {
+	// Rows come in (PACMAN, PSO) pairs per application.
+	for i := 0; i < len(tab.Rows); i += 2 {
+		app := cell[string](t, tab, i, "app")
+		if cell[string](t, tab, i, "technique") != "PACMAN" || cell[string](t, tab, i+1, "technique") != "PSO" {
+			t.Fatalf("%s: rows %d–%d are not a PACMAN, PSO pair", app, i, i+1)
+		}
 		// Paper §V-B: PACMAN communicates more spikes, so its
 		// throughput is at least the PSO's on every app.
-		if r.Pacman.ThroughputPerMs < r.PSO.ThroughputPerMs {
-			t.Fatalf("%s: PACMAN throughput below PSO (%f < %f)",
-				r.App, r.Pacman.ThroughputPerMs, r.PSO.ThroughputPerMs)
+		pacTput := cell[float64](t, tab, i, "throughput_per_ms")
+		psoTput := cell[float64](t, tab, i+1, "throughput_per_ms")
+		if pacTput < psoTput {
+			t.Fatalf("%s: PACMAN throughput below PSO (%f < %f)", app, pacTput, psoTput)
 		}
-		if r.PSO.MaxLatencyCycles <= r.Pacman.MaxLatencyCycles {
+		if cell[int64](t, tab, i+1, "max_latency_cycles") <= cell[int64](t, tab, i, "max_latency_cycles") {
 			lowerLatency++
 		}
 		// Disorder can never be negative and is a fraction.
-		for _, c := range []Table2Cell{r.Pacman, r.PSO} {
-			if c.DisorderFrac < 0 || c.DisorderFrac > 1 {
-				t.Fatalf("%s: disorder fraction %f out of range", r.App, c.DisorderFrac)
+		for _, r := range []int{i, i + 1} {
+			if d := cell[float64](t, tab, r, "disorder_frac"); d < 0 || d > 1 {
+				t.Fatalf("%s: disorder fraction %f out of range", app, d)
 			}
 		}
 	}
@@ -97,34 +160,35 @@ func TestRunFig6Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
-	rows, err := RunFig6(ExpOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	tab := runExperiment(t, "fig6", quick4)
+	checkGolden(t, tab)
+	n := len(tab.Rows)
+	if n < 4 {
+		t.Fatalf("rows = %d", n)
 	}
-	if len(rows) < 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	first, last := rows[0], rows[len(rows)-1]
+	local := func(i int) float64 { return cell[float64](t, tab, i, "local_energy_uj") }
+	global := func(i int) float64 { return cell[float64](t, tab, i, "global_energy_uj") }
+	total := func(i int) float64 { return cell[float64](t, tab, i, "total_energy_uj") }
 	// Paper Fig. 6: local energy rises with crossbar size, global energy
 	// falls (to zero once everything is local).
-	if last.LocalEnergyUJ <= first.LocalEnergyUJ {
-		t.Fatalf("local energy not increasing: %f -> %f", first.LocalEnergyUJ, last.LocalEnergyUJ)
+	if local(n-1) <= local(0) {
+		t.Fatalf("local energy not increasing: %f -> %f", local(0), local(n-1))
 	}
-	if last.GlobalEnergyUJ >= first.GlobalEnergyUJ {
-		t.Fatalf("global energy not decreasing: %f -> %f", first.GlobalEnergyUJ, last.GlobalEnergyUJ)
+	if global(n-1) >= global(0) {
+		t.Fatalf("global energy not decreasing: %f -> %f", global(0), global(n-1))
 	}
 	// The best total sits strictly between the extremes.
 	best := 0
-	for i, r := range rows {
-		if r.TotalEnergyUJ < rows[best].TotalEnergyUJ {
+	for i := range tab.Rows {
+		if total(i) < total(best) {
 			best = i
 		}
 	}
-	if best == 0 || best == len(rows)-1 {
+	if best == 0 || best == n-1 {
 		t.Logf("warning: total-energy optimum at sweep boundary (index %d)", best)
 	}
 	// Single-crossbar end point: everything local.
-	if last.Crossbars == 1 && last.GlobalEnergyUJ != 0 {
+	if cell[int64](t, tab, n-1, "crossbars") == 1 && global(n-1) != 0 {
 		t.Fatal("single crossbar must have zero global energy")
 	}
 }
@@ -133,27 +197,26 @@ func TestRunFig7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
-	points, err := RunFig7(ExpOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byApp := map[string][]Fig7Point{}
-	for _, p := range points {
-		byApp[p.App] = append(byApp[p.App], p)
+	tab := runExperiment(t, "fig7", quick4)
+	checkGolden(t, tab)
+	byApp := map[string][]float64{}
+	for i := range tab.Rows {
+		app := cell[string](t, tab, i, "app")
+		byApp[app] = append(byApp[app], cell[float64](t, tab, i, "normalized"))
 	}
 	if len(byApp) != 4 {
 		t.Fatalf("apps = %d, want 4", len(byApp))
 	}
-	for app, ps := range byApp {
+	for app, norms := range byApp {
 		// Normalization: the sweep minimum is 1.0 and everything else
 		// is >= 1.
-		min := ps[0].Normalized
-		for _, p := range ps {
-			if p.Normalized < min {
-				min = p.Normalized
+		min := norms[0]
+		for _, v := range norms {
+			if v < min {
+				min = v
 			}
-			if p.Normalized < 1.0-1e-9 {
-				t.Fatalf("%s: normalized %f < 1", app, p.Normalized)
+			if v < 1.0-1e-9 {
+				t.Fatalf("%s: normalized %f < 1", app, v)
 			}
 		}
 		if min > 1.0+1e-9 {
@@ -166,34 +229,26 @@ func TestRunAccuracyShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
-	rep, err := RunAccuracy(ExpOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	tab := runExperiment(t, "accuracy", quick4)
+	checkGolden(t, tab)
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	if rep.TrueBPM != 72 {
-		t.Fatalf("TrueBPM = %f", rep.TrueBPM)
+	if got := cell[float64](t, tab, 0, "true_bpm"); got != 72 {
+		t.Fatalf("true_bpm = %f", got)
 	}
 	// Source estimate must be close to truth (the encoder+estimator
 	// work); the arrival estimates carry the distortion.
-	if rep.SourceBPM < 60 || rep.SourceBPM > 85 {
-		t.Fatalf("source estimate %f implausible", rep.SourceBPM)
+	if src := cell[float64](t, tab, 0, "source_bpm"); src < 60 || src > 85 {
+		t.Fatalf("source estimate %f implausible", src)
 	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	var pacman, pso AccuracyRow
-	for _, r := range rep.Rows {
-		switch r.Technique {
-		case "PACMAN":
-			pacman = r
-		case "PSO":
-			pso = r
-		}
+	isi := map[string]float64{}
+	for i := range tab.Rows {
+		isi[cell[string](t, tab, i, "technique")] = cell[float64](t, tab, i, "isi_distortion_cycles")
 	}
 	// Paper §V-B: the PSO mapping suffers less ISI distortion.
-	if pso.ISIDistortionCycles >= pacman.ISIDistortionCycles {
-		t.Fatalf("PSO ISI distortion %f >= PACMAN %f",
-			pso.ISIDistortionCycles, pacman.ISIDistortionCycles)
+	if isi["PSO"] >= isi["PACMAN"] {
+		t.Fatalf("PSO ISI distortion %f >= PACMAN %f", isi["PSO"], isi["PACMAN"])
 	}
 }
 
@@ -224,19 +279,19 @@ func TestUpChannelArrivalsTieGoesToLowestCrossbar(t *testing.T) {
 	}
 }
 
-func TestRunOptimizerAblation(t *testing.T) {
+// TestRunOptimizerAblationShapes has no golden file: its wall_clock
+// column differs on every run.
+func TestRunOptimizerAblationShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
-	rows, err := RunOptimizerAblation(ExpOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runExperiment(t, "ablation-optimizer", ExpOptions{Quick: true, Seed: 1})
 	costs := map[string]int64{}
-	for _, r := range rows {
-		costs[r.Technique] = r.Cost
-		if r.WallClock <= 0 {
-			t.Fatalf("%s: no wall clock measured", r.Technique)
+	for i := range tab.Rows {
+		technique := cell[string](t, tab, i, "technique")
+		costs[technique] = cell[int64](t, tab, i, "cost")
+		if cell[time.Duration](t, tab, i, "wall_clock") <= 0 {
+			t.Fatalf("%s: no wall clock measured", technique)
 		}
 	}
 	// Seeded PSO is never worse than the heuristics it is seeded with.
@@ -247,48 +302,45 @@ func TestRunOptimizerAblation(t *testing.T) {
 	}
 }
 
-func TestRunAERModeAblation(t *testing.T) {
+func TestRunAERModeAblationShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
-	rows, err := RunAERModeAblation(ExpOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	tab := runExperiment(t, "ablation-aer", quick4)
+	checkGolden(t, tab)
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	row := map[string]int{}
+	for i := range tab.Rows {
+		row[cell[string](t, tab, i, "mode")] = i
 	}
-	byMode := map[string]AERModeRow{}
-	for _, r := range rows {
-		byMode[r.Mode] = r
-	}
+	syn, xbar, multi := row["per-synapse"], row["per-crossbar"], row["multicast"]
 	// Deduplication can only reduce packets; multicast can only reduce
 	// hops further.
-	if byMode["per-crossbar"].Injected > byMode["per-synapse"].Injected {
+	if cell[int64](t, tab, xbar, "injected") > cell[int64](t, tab, syn, "injected") {
 		t.Fatal("per-crossbar dedup increased packets")
 	}
-	if byMode["multicast"].HopCount > byMode["per-crossbar"].HopCount {
+	if cell[int64](t, tab, multi, "hops") > cell[int64](t, tab, xbar, "hops") {
 		t.Fatal("multicast increased hops over per-crossbar unicast")
 	}
-	if byMode["multicast"].EnergyPJ > byMode["per-synapse"].EnergyPJ {
+	if cell[float64](t, tab, multi, "energy_pj") > cell[float64](t, tab, syn, "energy_pj") {
 		t.Fatal("multicast more expensive than per-synapse")
 	}
 }
 
-func TestRunTopologyAblation(t *testing.T) {
+func TestRunTopologyAblationShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode experiment still costs tens of seconds")
 	}
-	rows, err := RunTopologyAblation(ExpOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	tab := runExperiment(t, "ablation-topology", quick4)
+	checkGolden(t, tab)
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.EnergyPJ <= 0 || r.MaxLatency <= 0 {
-			t.Fatalf("%s: degenerate stats %+v", r.Topology, r)
+	for i, row := range tab.Rows {
+		if cell[float64](t, tab, i, "energy_pj") <= 0 || cell[int64](t, tab, i, "max_latency_cycles") <= 0 {
+			t.Fatalf("degenerate row %v", row)
 		}
 	}
 }
@@ -324,29 +376,60 @@ func TestQuadArchAndPacmanCapableArch(t *testing.T) {
 // the -short suite, where it covers the genapp → registry → pipeline path
 // under the race detector.
 func TestRunScenariosShapes(t *testing.T) {
-	rows, err := RunScenarios(ExpOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runExperiment(t, "scenarios", ExpOptions{Quick: true, Seed: 1})
 	want := len(ScenarioSpecs(true)) * 2 * 2 // families × archs × techniques
-	if len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
+	if len(tab.Rows) != want {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), want)
 	}
-	for _, r := range rows {
-		if r.LocalSynapses+r.GlobalSynapses != r.Synapses {
-			t.Fatalf("%s/%s/%s: local %d + global %d != synapses %d",
-				r.App, r.Arch, r.Technique, r.LocalSynapses, r.GlobalSynapses, r.Synapses)
+	for i, row := range tab.Rows {
+		local := cell[int64](t, tab, i, "local_synapses")
+		global := cell[int64](t, tab, i, "global_synapses")
+		if synapses := cell[int64](t, tab, i, "synapses"); local+global != synapses {
+			t.Fatalf("row %v: local %d + global %d != synapses %d", row, local, global, synapses)
 		}
-		if r.Traffic < 0 || r.TotalEnergyPJ <= 0 {
-			t.Fatalf("%s/%s/%s: degenerate row %+v", r.App, r.Arch, r.Technique, r)
+		if cell[int64](t, tab, i, "traffic") < 0 || cell[float64](t, tab, i, "total_energy_pj") <= 0 {
+			t.Fatalf("degenerate row %v", row)
 		}
 	}
 	// The sweep must be deterministic at every worker count.
-	par, err := RunScenarios(ExpOptions{Quick: true, Seed: 1, Parallel: 4})
+	if par := runExperiment(t, "scenarios", quick4); !reflect.DeepEqual(tab, par) {
+		t.Fatal("scenario tables diverge between sequential and parallel sweeps")
+	}
+}
+
+// TestRunRemapShapes pins the remap experiment's rows to the Remap
+// contract: the perturbation sizes are DriftDelta's, the incremental
+// remap is never worse than carrying the base mapping over unchanged, and
+// — the claim Pipeline.Remap's doc cites — never worse than re-solving
+// from scratch on these drifts.
+func TestRunRemapShapes(t *testing.T) {
+	opts := ExpOptions{Quick: true, Seed: 1}
+	tab := runExperiment(t, "remap", opts)
+	drifts := remapDrifts(true)
+	if len(tab.Rows) != 2 || !reflect.DeepEqual(drifts, []float64{0.05, 0.2}) {
+		t.Fatalf("rows = %d over drifts %v, want 2 over [0.05 0.2]", len(tab.Rows), drifts)
+	}
+	app, err := BuildApp("gen:modular:n=96", AppConfig{Seed: opts.seed(), DurationMs: opts.duration(500)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rows, par) {
-		t.Fatal("scenario rows diverge between sequential and parallel sweeps")
+	for i, drift := range drifts {
+		if got := cell[float64](t, tab, i, "drift"); got != drift {
+			t.Fatalf("row %d: drift %g, want %g", i, got, drift)
+		}
+		delta := DriftDelta(app.Graph, drift, opts.seed()+int64(drift*1000))
+		if got, want := cell[int64](t, tab, i, "rewired_synapses"), int64(len(delta.RemoveSynapses)); got != want {
+			t.Fatalf("drift %g: rewired_synapses %d, want %d", drift, got, want)
+		}
+		if got, want := cell[int64](t, tab, i, "shifted_neurons"), int64(len(delta.RateShifts)); got != want {
+			t.Fatalf("drift %g: shifted_neurons %d, want %d", drift, got, want)
+		}
+		remap := cell[int64](t, tab, i, "remap_cost")
+		if static := cell[int64](t, tab, i, "static_cost"); remap > static {
+			t.Fatalf("drift %g: remap cost %d worse than static %d", drift, remap, static)
+		}
+		if resolve := cell[int64](t, tab, i, "resolve_cost"); remap > resolve {
+			t.Fatalf("drift %g: remap cost %d worse than from-scratch %d", drift, remap, resolve)
+		}
 	}
 }

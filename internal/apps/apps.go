@@ -5,10 +5,10 @@
 // the network with internal/snn, runs a characterization simulation, and
 // exports the spike graph consumed by the partitioning framework.
 //
-// Data substitutions (documented in DESIGN.md): MNIST images are replaced
-// by synthetic digit stroke bitmaps, and wearable ECG traces by a synthetic
-// PQRST generator; both preserve the topology and the spike statistics the
-// mapping problem depends on.
+// Data substitutions: MNIST images are replaced by synthetic digit stroke
+// bitmaps, and wearable ECG traces by a synthetic PQRST generator; both
+// preserve the topology and the spike statistics the mapping problem
+// depends on.
 package apps
 
 import (

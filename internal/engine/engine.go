@@ -170,28 +170,3 @@ func invoke[J, R any](jctx context.Context, index int, job J, fn func(context.Co
 	v, err := fn(jctx, job)
 	return Result[R]{Index: index, Value: v, Err: err}
 }
-
-// Values unwraps a result slice into its values, returning the first
-// captured error verbatim if any job failed (job functions are expected
-// to wrap their errors with job identity; engine-generated errors
-// already carry the job index).
-func Values[R any](results []Result[R]) ([]R, error) {
-	out := make([]R, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		out[i] = r.Value
-	}
-	return out, nil
-}
-
-// FirstErr returns the first captured error of a sweep, or nil.
-func FirstErr[R any](results []Result[R]) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
-}

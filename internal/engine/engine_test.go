@@ -22,16 +22,13 @@ func TestSweepPreservesJobOrder(t *testing.T) {
 				time.Sleep(time.Duration((64-j)%5) * time.Millisecond)
 				return j * j, nil
 			})
-		vals, err := Values(results)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, v := range vals {
-			if v != i*i {
-				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
 		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("workers=%d: job %d: %v", workers, i, r.Err)
+			}
+			if r.Value != i*i {
+				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, r.Value, i*i)
+			}
 			if r.Index != i {
 				t.Fatalf("workers=%d: result %d carries index %d", workers, i, r.Index)
 			}
@@ -62,12 +59,6 @@ func TestSweepCapturesErrorsWithoutAborting(t *testing.T) {
 		} else if r.Err != nil || r.Value != i {
 			t.Fatalf("job %d: (%d, %v), want (%d, nil)", i, r.Value, r.Err, i)
 		}
-	}
-	if _, err := Values(results); !errors.Is(err, wantErr) {
-		t.Fatalf("Values error = %v", err)
-	}
-	if err := FirstErr(results); !errors.Is(err, wantErr) {
-		t.Fatalf("FirstErr = %v", err)
 	}
 }
 

@@ -8,23 +8,6 @@ import (
 	"repro/internal/genapp"
 )
 
-// ScenarioRow is one cell of the generated-workload sweep: one scenario
-// family mapped onto one architecture family by one technique.
-type ScenarioRow struct {
-	App       string
-	Arch      string
-	Technique string
-	Neurons   int
-	Synapses  int
-	// LocalSynapses/GlobalSynapses is the paper's key split under the
-	// technique's mapping; Traffic is the fitness F (Eq. 8).
-	LocalSynapses  int
-	GlobalSynapses int
-	Traffic        int64
-	TotalEnergyPJ  float64
-	AvgLatency     float64
-}
-
 // ScenarioSpecs returns the registry specs of the generated workload
 // families the scenarios experiment sweeps, sized for quick (CI) or full
 // runs.
@@ -44,15 +27,13 @@ func ScenarioSpecs(quick bool) []string {
 // scenario with — the tree/mesh contrast the topology ablation studies.
 var scenarioArchNames = []string{"tree", "mesh"}
 
-// RunScenarios sweeps the generated workload families of internal/genapp
+// scenarioRows sweeps the generated workload families of internal/genapp
 // across deterministic partitioning techniques and the tree/mesh
 // architecture families — the breadth evaluation the fixed Table I
-// applications cannot provide.
-func RunScenarios(opts ExpOptions) ([]ScenarioRow, error) {
-	return runScenarios(context.Background(), NewPipeline, opts)
-}
-
-func runScenarios(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]ScenarioRow, error) {
+// applications cannot provide. Each row reports the paper's key split
+// (local vs global synapses) under one technique's mapping, with the
+// fitness F (Eq. 8) as traffic.
+func scenarioRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	specs := ScenarioSpecs(opts.Quick)
 	builds := engine.Sweep(ctx, opts.engineConfig(), specs,
 		func(_ context.Context, spec string) (*App, error) {
@@ -85,35 +66,15 @@ func runScenarios(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([]S
 	}
 
 	techniques := []Partitioner{Neutrams, GreedyPartitioner}
-	reports, err := sweepGrid(ctx, opts, len(cells), len(techniques),
-		func(ctx context.Context, c, t int) (*Report, error) {
+	return sweepGrid(ctx, opts, len(cells), len(techniques),
+		func(ctx context.Context, c, t int) ([]any, error) {
 			rep, err := cells[c].pl.Run(ctx, techniques[t])
 			if err != nil {
 				return nil, fmt.Errorf("snnmap: %s on %s/%s: %w",
 					techniques[t].Name(), cells[c].app.Name, cells[c].arch, err)
 			}
-			return rep, nil
+			return []any{rep.AppName, cells[c].arch, rep.Technique, rep.Neurons, rep.Synapses,
+				rep.LocalSynapseCount, rep.GlobalSynapseCount, rep.GlobalTraffic,
+				rep.TotalEnergyPJ, rep.Metrics.AvgLatencyCycles}, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]ScenarioRow, 0, len(cells)*len(techniques))
-	for c, cl := range cells {
-		for _, rep := range reports[c] {
-			rows = append(rows, ScenarioRow{
-				App:            rep.AppName,
-				Arch:           cl.arch,
-				Technique:      rep.Technique,
-				Neurons:        rep.Neurons,
-				Synapses:       rep.Synapses,
-				LocalSynapses:  rep.LocalSynapseCount,
-				GlobalSynapses: rep.GlobalSynapseCount,
-				Traffic:        rep.GlobalTraffic,
-				TotalEnergyPJ:  rep.TotalEnergyPJ,
-				AvgLatency:     rep.Metrics.AvgLatencyCycles,
-			})
-		}
-	}
-	return rows, nil
 }
