@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	snnmap "repro"
+	"repro/internal/goldentest"
 )
 
 // TestHistogramCumulativeBoundaries pins the Prometheus bucket
@@ -173,4 +176,28 @@ func TestWritePrometheusGolden(t *testing.T) {
 		}
 		t.Fatalf("render mismatch:\n%s", got)
 	}
+}
+
+// TestWritePrometheusAllStagesGolden observes every pipeline stage, in
+// reverse order, and pins the full exposition against a golden file:
+// stage histograms render in pipeline order (partition, place,
+// simulate, analyze), not in label-string order, and counters at or
+// above one million render as plain integers, never as 1e+06.
+func TestWritePrometheusAllStagesGolden(t *testing.T) {
+	m := newMetrics()
+	m.cacheEntries = func() int { return 0 }
+	m.poolEntries = func() int { return 0 }
+	m.jobsTotal["done"] = 1_000_000
+	m.executed = 1_000_000
+	m.cacheHits = 1
+	m.observeStage(snnmap.StageAnalyze, 40*time.Millisecond)
+	m.observeStage(snnmap.StageSimulate, 12*time.Second)
+	m.observeStage(snnmap.StagePlace, 500*time.Microsecond)
+	m.observeStage(snnmap.StagePartition, 3*time.Millisecond)
+
+	var b bytes.Buffer
+	if err := m.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	goldentest.Check(t, "metrics_all_stages.prom.golden", b.Bytes())
 }
