@@ -5,7 +5,7 @@
 // when any benchmark regresses past the threshold — absolute numbers are
 // machine-bound, so only same-runner ratios are judged. The same JSON
 // schema is used for the benchmark records committed to the repo
-// (BENCH_PR6.json), so artifacts and records stay diffable.
+// (BENCH_PR10.json), so artifacts and records stay diffable.
 //
 //	go test -run='^$' -bench=. -benchtime=3x . | benchgate parse -out bench.json -note "CI runner"
 //	benchgate compare -base base.json -head head.json -threshold 0.20

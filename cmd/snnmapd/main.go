@@ -161,30 +161,27 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		TraceCap:        *traceCap,
 		Log:             slog.Default(),
 	}
-	var warmer *fleet.Warmer
-	if *peers != "" && *self != "" {
+	fleetAttached := *peers != "" && *self != ""
+	if fleetAttached {
 		// Fleet-attached worker: local result-cache misses consult the
 		// content address's ring owner before recomputing.
 		cfg.FetchPeer = fleet.NewPeerFetcher(*self, splitList(*peers), *vnodes, nil)
 		slog.Info("fleet peer cache enabled", "self", *self, "peers", len(splitList(*peers)))
-		if *warmRate > 0 {
-			// Join-time cache warming: pull the entries the post-join ring
-			// assigns to this node from their previous owners, rate-bounded,
-			// in the background. Progress rides /metrics via ExtraMetrics;
-			// the cache itself is bound after the server exists.
-			warmer = fleet.NewWarmer(fleet.WarmerConfig{
-				Self:   *self,
-				Peers:  splitList(*peers),
-				VNodes: *vnodes,
-				Rate:   *warmRate,
-				Limit:  *warmLimit,
-			})
-			cfg.ExtraMetrics = func(w io.Writer) { _ = warmer.WritePrometheus(w) }
-		}
 	}
 	svc := service.New(cfg)
-	if warmer != nil {
-		warmer.Bind(svc)
+	if fleetAttached && *warmRate > 0 {
+		// Join-time cache warming: pull the entries the post-join ring
+		// assigns to this node from their previous owners, rate-bounded,
+		// in the background. Progress rides the worker's /metrics.
+		warmer := fleet.NewWarmer(fleet.WarmerConfig{
+			Self:   *self,
+			Peers:  splitList(*peers),
+			VNodes: *vnodes,
+			Rate:   *warmRate,
+			Limit:  *warmLimit,
+			Cache:  svc,
+		})
+		warmer.RegisterMetrics(svc.Metrics())
 		go func() {
 			warmer.Run(context.Background())
 			planned, fetched, errs, _ := warmer.Progress()

@@ -55,16 +55,9 @@ func referenceCSV(t *testing.T, spec snnmap.JobSpec) []byte {
 // routedWorker returns the worker the router placed the (single) job on.
 func routedWorker(t *testing.T, rt *Router, workers []*testWorker) *testWorker {
 	t.Helper()
-	rt.metrics.mu.Lock()
-	defer rt.metrics.mu.Unlock()
-	for node, count := range rt.metrics.routedBy {
-		if count == 0 {
-			continue
-		}
-		for _, w := range workers {
-			if w.url == node {
-				return w
-			}
+	for _, w := range workers {
+		if rt.metrics.routed.Value(w.url) > 0 {
+			return w
 		}
 	}
 	t.Fatal("no worker has a routed job")

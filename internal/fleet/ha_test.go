@@ -130,9 +130,7 @@ func TestChaosKillRouterMidJob(t *testing.T) {
 
 	// The route arrived via replication, not resubmission: the replica
 	// counter moved and exactly one worker executed the job.
-	b.rt.metrics.mu.Lock()
-	replicas := b.rt.metrics.replicas
-	b.rt.metrics.mu.Unlock()
+	replicas := b.rt.metrics.replicas.Value()
 	if replicas < 1 {
 		t.Fatalf("surviving router adopted %d replicas, want >= 1", replicas)
 	}
@@ -195,9 +193,7 @@ func TestRouterRedirectBeforeReplication(t *testing.T) {
 	}
 
 	// The redirect metric moved on the sibling.
-	b.rt.metrics.mu.Lock()
-	redirects := b.rt.metrics.redirects
-	b.rt.metrics.mu.Unlock()
+	redirects := b.rt.metrics.redirects.Value()
 	if redirects < 1 {
 		t.Fatalf("redirect counter = %d, want >= 1", redirects)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -137,7 +138,8 @@ func (m *monitor) nodes() []string {
 	return out
 }
 
-// views snapshots the membership view for /v1/fleet and gossip.
+// views snapshots the membership view for /v1/fleet and gossip, ordered
+// by address for stable rendering.
 func (m *monitor) views() []NodeView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -145,6 +147,7 @@ func (m *monitor) views() []NodeView {
 	for _, v := range m.view {
 		out = append(out, *v)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 

@@ -1,147 +1,46 @@
 package fleet
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
+import "repro/internal/obs"
 
-	"repro/internal/obs"
-)
-
-// routerMetrics aggregates the router's fleet-level counters in the
-// same stdlib-only Prometheus text style as the worker's Metrics.
+// routerMetrics are the router's fleet-level metrics, each declared
+// once on the router's registry, which renders its GET /metrics.
 type routerMetrics struct {
-	mu          sync.Mutex
-	routedBy    map[string]int64 // accepted placements by node
-	spills      int64            // shed/drain responses spilled past
-	requeues    int64            // routes replayed after a node death
-	proxyErrors int64            // network-level proxy failures
-	batches     int64            // batches fully placed
-	replicas    int64            // peer routes adopted via replication
-	redirects   int64            // 307s to a route's origin router
-
-	// read-time hooks so gauges can never drift from their sources.
-	routeCount func() int
-	nodeStates func() []NodeView
+	reg         *obs.Registry
+	routed      *obs.CounterVec // accepted placements by node
+	spills      *obs.Counter    // shed/drain responses spilled past
+	requeues    *obs.Counter    // routes replayed after a node death
+	proxyErrors *obs.Counter    // network-level proxy failures
+	batches     *obs.Counter    // batches fully placed
+	replicas    *obs.Counter    // peer routes adopted via replication
+	redirects   *obs.Counter    // 307s to a route's origin router
 }
 
-func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{routedBy: map[string]int64{}}
-}
-
-func (m *routerMetrics) routed(node string) {
-	m.mu.Lock()
-	m.routedBy[node]++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) spill() {
-	m.mu.Lock()
-	m.spills++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) requeue() {
-	m.mu.Lock()
-	m.requeues++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) requeueCount() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.requeues
-}
-
-func (m *routerMetrics) proxyError() {
-	m.mu.Lock()
-	m.proxyErrors++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) batch() {
-	m.mu.Lock()
-	m.batches++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) replica() {
-	m.mu.Lock()
-	m.replicas++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) redirect() {
-	m.mu.Lock()
-	m.redirects++
-	m.mu.Unlock()
-}
-
-// WritePrometheus renders the router metrics, deterministically ordered.
-func (m *routerMetrics) WritePrometheus(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	var b []byte
-	p := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
-
-	p("# HELP snnmapd_fleet_routed_total Jobs placed on a worker, by node.\n")
-	p("# TYPE snnmapd_fleet_routed_total counter\n")
-	nodes := make([]string, 0, len(m.routedBy))
-	for n := range m.routedBy {
-		nodes = append(nodes, n)
+// newRouterMetrics declares the router's families in exposition order.
+// The gauges read routes and nodes at render time, so they can never
+// drift from their sources.
+func newRouterMetrics(routes func() int64, nodes func() []NodeView) *routerMetrics {
+	r := obs.NewRegistry()
+	m := &routerMetrics{
+		reg:         r,
+		routed:      r.CounterVec("snnmapd_fleet_routed_total", "Jobs placed on a worker, by node.", "node"),
+		spills:      r.Counter("snnmapd_fleet_spills_total", "Placements spilled past a shedding or draining ring owner."),
+		requeues:    r.Counter("snnmapd_fleet_requeues_total", "Jobs replayed on a ring successor after their worker died."),
+		proxyErrors: r.Counter("snnmapd_fleet_proxy_errors_total", "Network-level failures talking to workers."),
+		batches:     r.Counter("snnmapd_fleet_batches_total", "Batches fully placed across the fleet."),
+		replicas:    r.Counter("snnmapd_fleet_replica_routes_total", "Peer routes adopted via route-table replication."),
+		redirects:   r.Counter("snnmapd_fleet_redirects_total", "Requests 307-redirected to a route's origin router."),
 	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		p("snnmapd_fleet_routed_total{node=\"%s\"} %d\n", obs.PromLabel(n), m.routedBy[n])
-	}
-
-	p("# HELP snnmapd_fleet_spills_total Placements spilled past a shedding or draining ring owner.\n")
-	p("# TYPE snnmapd_fleet_spills_total counter\n")
-	p("snnmapd_fleet_spills_total %d\n", m.spills)
-	p("# HELP snnmapd_fleet_requeues_total Jobs replayed on a ring successor after their worker died.\n")
-	p("# TYPE snnmapd_fleet_requeues_total counter\n")
-	p("snnmapd_fleet_requeues_total %d\n", m.requeues)
-	p("# HELP snnmapd_fleet_proxy_errors_total Network-level failures talking to workers.\n")
-	p("# TYPE snnmapd_fleet_proxy_errors_total counter\n")
-	p("snnmapd_fleet_proxy_errors_total %d\n", m.proxyErrors)
-	p("# HELP snnmapd_fleet_batches_total Batches fully placed across the fleet.\n")
-	p("# TYPE snnmapd_fleet_batches_total counter\n")
-	p("snnmapd_fleet_batches_total %d\n", m.batches)
-	p("# HELP snnmapd_fleet_replica_routes_total Peer routes adopted via route-table replication.\n")
-	p("# TYPE snnmapd_fleet_replica_routes_total counter\n")
-	p("snnmapd_fleet_replica_routes_total %d\n", m.replicas)
-	p("# HELP snnmapd_fleet_redirects_total Requests 307-redirected to a route's origin router.\n")
-	p("# TYPE snnmapd_fleet_redirects_total counter\n")
-	p("snnmapd_fleet_redirects_total %d\n", m.redirects)
-
-	if m.routeCount != nil {
-		p("# HELP snnmapd_fleet_routes Jobs currently tracked by the route table.\n")
-		p("# TYPE snnmapd_fleet_routes gauge\n")
-		p("snnmapd_fleet_routes %d\n", m.routeCount())
-	}
-	if m.nodeStates != nil {
-		views := m.nodeStates()
-		alive, dead := 0, 0
-		for _, v := range views {
+	r.GaugeFunc("snnmapd_fleet_routes", "Jobs currently tracked by the route table.", routes)
+	r.GaugeVecFunc("snnmapd_fleet_nodes", "Fleet members by health state.", "state", func() map[string]int64 {
+		n := map[string]int64{nodeAlive: 0, nodeDead: 0}
+		for _, v := range nodes() {
 			if v.State == nodeAlive {
-				alive++
+				n[nodeAlive]++
 			} else {
-				dead++
+				n[nodeDead]++
 			}
 		}
-		p("# HELP snnmapd_fleet_nodes Fleet members by health state.\n")
-		p("# TYPE snnmapd_fleet_nodes gauge\n")
-		p("snnmapd_fleet_nodes{state=\"alive\"} %d\n", alive)
-		p("snnmapd_fleet_nodes{state=\"dead\"} %d\n", dead)
-	}
-
-	_, err := w.Write(b)
-	return err
-}
-
-// sortViews orders membership views by address for stable rendering.
-func sortViews(views []NodeView) {
-	sort.Slice(views, func(i, j int) bool { return views[i].Addr < views[j].Addr })
+		return n
+	})
+	return m
 }

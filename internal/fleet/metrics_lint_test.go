@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"io"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -103,9 +102,9 @@ func lintExposition(t *testing.T, origin, body string) {
 // one place both renderers are reachable without an import cycle.
 func TestMetricNameLint(t *testing.T) {
 	warmer := NewWarmer(WarmerConfig{Self: "http://127.0.0.1:1", Peers: nil})
-	svc := service.New(service.Config{Workers: 1, ExtraMetrics: func(w io.Writer) { _ = warmer.WritePrometheus(w) }})
+	svc := service.New(service.Config{Workers: 1})
 	defer svc.Kill()
-	warmer.Bind(svc)
+	warmer.RegisterMetrics(svc.Metrics())
 
 	rec := httptest.NewRecorder()
 	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/goldentest"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -15,26 +16,24 @@ import (
 // rendered as a plain integer), every counter non-zero, and both
 // read-time gauges.
 func TestRouterMetricsGolden(t *testing.T) {
-	m := newRouterMetrics()
-	m.routedBy["http://127.0.0.1:7302"] = 5
-	m.routedBy["http://127.0.0.1:7301"] = 1_000_000
-	m.spills = 2
-	m.requeues = 3
-	m.proxyErrors = 4
-	m.batches = 5
-	m.replicas = 6
-	m.redirects = 7
-	m.routeCount = func() int { return 9 }
-	m.nodeStates = func() []NodeView {
+	m := newRouterMetrics(func() int64 { return 9 }, func() []NodeView {
 		return []NodeView{
 			{Addr: "http://127.0.0.1:7301", State: nodeAlive},
 			{Addr: "http://127.0.0.1:7302", State: nodeDead},
 			{Addr: "http://127.0.0.1:7303", State: nodeAlive},
 		}
-	}
+	})
+	m.routed.Add("http://127.0.0.1:7302", 5)
+	m.routed.Add("http://127.0.0.1:7301", 1_000_000)
+	m.spills.Add(2)
+	m.requeues.Add(3)
+	m.proxyErrors.Add(4)
+	m.batches.Add(5)
+	m.replicas.Add(6)
+	m.redirects.Add(7)
 
 	var b bytes.Buffer
-	if err := m.WritePrometheus(&b); err != nil {
+	if err := m.reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	goldentest.Check(t, "router_metrics.prom.golden", b.Bytes())
@@ -44,10 +43,15 @@ func TestRouterMetricsGolden(t *testing.T) {
 // warm pass.
 func TestWarmerMetricsGolden(t *testing.T) {
 	w := NewWarmer(WarmerConfig{Self: "http://127.0.0.1:7304"})
-	w.planned, w.fetched, w.errors, w.done = 1_000_001, 1_000_000, 1, true
+	w.planned.Store(1_000_001)
+	w.fetched.Store(1_000_000)
+	w.errors.Store(1)
+	w.done.Store(true)
+	reg := obs.NewRegistry()
+	w.RegisterMetrics(reg)
 
 	var b bytes.Buffer
-	if err := w.WritePrometheus(&b); err != nil {
+	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	goldentest.Check(t, "warmer_metrics.prom.golden", b.Bytes())

@@ -102,7 +102,7 @@ func (rt *Router) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		ro.mu.Unlock()
 		tbl.Routes = append(tbl.Routes, rec)
 	}
-	writeJSON(w, http.StatusOK, tbl)
+	service.WriteJSON(w, http.StatusOK, tbl)
 }
 
 // replicateLoop pulls peer route tables on the probe cadence until the
@@ -193,7 +193,7 @@ func (rt *Router) mergeRoutes(recs []routeRecord) {
 		}
 		rt.mu.Unlock()
 		if !known {
-			rt.metrics.replica()
+			rt.metrics.replicas.Inc()
 			continue
 		}
 		ro.mu.Lock()
@@ -223,13 +223,13 @@ func (rt *Router) resolve(w http.ResponseWriter, r *http.Request) (*route, bool)
 	}
 	if tok := originOf(id); tok != "" && tok != rt.token {
 		if origin, ok := rt.peerTokens[tok]; ok {
-			rt.metrics.redirect()
+			rt.metrics.redirects.Inc()
 			w.Header().Set("Location", origin+r.URL.RequestURI())
 			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusTemporaryRedirect)
 			return nil, false
 		}
 	}
-	writeError(w, http.StatusNotFound, "unknown job %q", id)
+	service.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 	return nil, false
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -39,9 +38,6 @@ type RouterConfig struct {
 	// FailThreshold is the consecutive-failure count that declares a
 	// node dead (default 2). Proxy failures count toward it too.
 	FailThreshold int
-	// RetryAfter is the advised backoff on relayed shed responses when
-	// every candidate refused (default 1s).
-	RetryAfter time.Duration
 	// GossipPeers are other routers whose /v1/fleet membership views are
 	// merged into this router's (optional). With Self set they are also
 	// the replication set: their route tables are pulled and adopted so
@@ -124,7 +120,7 @@ func (ro *route) snapshot() (node, remoteID string, terminal bool) {
 func (ro *route) observe(st service.JobStatus) {
 	ro.mu.Lock()
 	ro.last = st
-	if isTerminal(st.State) {
+	if st.State.Terminal() {
 		ro.terminal = true
 	}
 	ro.mu.Unlock()
@@ -146,10 +142,6 @@ func (ro *route) lastStatus() service.JobStatus {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 	return ro.rewrite(ro.last)
-}
-
-func isTerminal(s service.JobState) bool {
-	return s == service.JobDone || s == service.JobFailed || s == service.JobCanceled
 }
 
 // Router is the fleet's front door: it speaks the snnmapd wire surface
@@ -194,15 +186,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("fleet: router needs at least one peer")
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	rt := &Router{
 		cfg:         cfg,
 		client:      cfg.Client,
 		stream:      cfg.StreamClient,
 		now:         cfg.Now,
-		metrics:     newRouterMetrics(),
 		ring:        NewRing(cfg.VNodes, peers...),
 		routes:      map[string]*route{},
 		gossipPeers: normalizeBases(cfg.GossipPeers),
@@ -241,12 +229,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.mon.gossip = rt.gossipPeers
 	rt.mon.onDeath = rt.nodeDied
 	rt.mon.onJoin = rt.nodeJoined
-	rt.metrics.routeCount = func() int {
+	rt.metrics = newRouterMetrics(func() int64 {
 		rt.mu.Lock()
 		defer rt.mu.Unlock()
-		return len(rt.routes)
-	}
-	rt.metrics.nodeStates = rt.mon.views
+		return int64(len(rt.routes))
+	}, rt.mon.views)
 	return rt, nil
 }
 
@@ -339,7 +326,7 @@ func (rt *Router) newRoute(id, hash, tenant string, specJSON []byte, node string
 		node:     node,
 		remoteID: st.ID,
 		last:     st,
-		terminal: isTerminal(st.State),
+		terminal: st.State.Terminal(),
 		trace:    trace,
 	}
 	rt.routes[ro.id] = ro
@@ -416,14 +403,14 @@ func (rt *Router) postWithRetry(ctx context.Context, node, path string, body []b
 		}
 		resp, derr := rt.doJSON(ctx, http.MethodPost, node, path, body, tenant, headers...)
 		if derr != nil {
-			rt.metrics.proxyError()
+			rt.metrics.proxyErrors.Inc()
 			rt.mon.reportFailure(node)
 			return derr
 		}
 		b, rerr := io.ReadAll(io.LimitReader(resp.Body, limit))
 		resp.Body.Close()
 		if rerr != nil {
-			rt.metrics.proxyError()
+			rt.metrics.proxyErrors.Inc()
 			rt.mon.reportFailure(node)
 			return rerr
 		}
@@ -455,12 +442,12 @@ func (rt *Router) submitTo(ctx context.Context, candidates []string, specJSON []
 		case http.StatusOK, http.StatusAccepted:
 			var js service.JobStatus
 			if json.Unmarshal(body, &js) != nil {
-				rt.metrics.proxyError()
+				rt.metrics.proxyErrors.Inc()
 				continue
 			}
 			return n, js, status, nil, nil
 		case http.StatusTooManyRequests:
-			rt.metrics.spill()
+			rt.metrics.spills.Inc()
 			obs.AddEvent(ctx, "spill", obs.String("node", n), obs.Int("code", status))
 			lastRefusal = &refusal{code: status, body: body, retryAfter: hdr.Get("Retry-After")}
 		case http.StatusServiceUnavailable:
@@ -536,7 +523,7 @@ func (rt *Router) requeueRoute(ro *route, failed string, force bool) bool {
 		// The requeue fault point fires per successor attempt; an armed
 		// spec skips this candidate exactly as a failed resubmission would.
 		if resilience.P(fpRequeue).FireCtx(ctx) != nil {
-			rt.metrics.proxyError()
+			rt.metrics.proxyErrors.Inc()
 			continue
 		}
 		code, body, _, err := rt.postWithRetry(ctx, n, "/v1/jobs", ro.specJSON, ro.tenant, resilience.IdempotencyKey(ro.id, n), maxSpecBytes)
@@ -552,9 +539,9 @@ func (rt *Router) requeueRoute(ro *route, failed string, force bool) bool {
 			ro.node = n
 			ro.remoteID = st.ID
 			ro.last = st
-			ro.terminal = isTerminal(st.State)
+			ro.terminal = st.State.Terminal()
 			ro.requeues++
-			rt.metrics.requeue()
+			rt.metrics.requeues.Inc()
 			sp.SetAttr(obs.String("node", n), obs.Int("requeues", ro.requeues))
 			rt.log.Info("route requeued", "job_id", ro.id, "from", failed, "to", n, "trace_id", ro.trace.TraceID.String())
 			// Best-effort cancel of the orphan on the failed node. A true
@@ -606,18 +593,18 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "decoding job spec: %v", err)
 		return
 	}
 	spec, err := spec.Normalize()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		service.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	hash := spec.Hash()
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		service.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tenant := r.Header.Get("X-Tenant")
@@ -646,7 +633,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	node, st, code, rf, err := rt.submitTo(ctx, rt.successors(hash), specJSON, tenant, "", unit)
 	if err != nil {
 		sp.SetAttr(obs.String("error", "no live workers"))
-		writeBackpressure(w, http.StatusServiceUnavailable, rt.cfg.RetryAfter.Milliseconds(), "no live workers")
+		service.WriteBackpressure(w, http.StatusServiceUnavailable, "no live workers")
 		return
 	}
 	if rf != nil {
@@ -656,8 +643,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sp.SetAttr(obs.String("node", node))
 	ro := rt.newRoute(id, hash, tenant, specJSON, node, st, sp.Context())
-	rt.metrics.routed(node)
-	writeJSON(w, code, ro.rewrite(st))
+	rt.metrics.routed.Inc(node)
+	service.WriteJSON(w, code, ro.rewrite(st))
 }
 
 // handleStatus reports a job's status. A route whose stored status is
@@ -672,32 +659,32 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if st := ro.lastStatus(); isTerminal(st.State) {
-		writeJSON(w, http.StatusOK, st)
+	if st := ro.lastStatus(); st.State.Terminal() {
+		service.WriteJSON(w, http.StatusOK, st)
 		return
 	}
 	node, remoteID, _ := ro.snapshot()
 	resp, err := rt.doJSON(r.Context(), http.MethodGet, node, "/v1/jobs/"+remoteID, nil, "")
 	if err != nil {
-		rt.metrics.proxyError()
+		rt.metrics.proxyErrors.Inc()
 		rt.mon.reportFailure(node)
 		rt.requeueRoute(ro, node, false)
-		writeJSON(w, http.StatusOK, ro.lastStatus())
+		service.WriteJSON(w, http.StatusOK, ro.lastStatus())
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
 		rt.requeueRoute(ro, node, false)
-		writeJSON(w, http.StatusOK, ro.lastStatus())
+		service.WriteJSON(w, http.StatusOK, ro.lastStatus())
 		return
 	}
 	var st service.JobStatus
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxSpecBytes)).Decode(&st); err != nil {
-		writeError(w, http.StatusBadGateway, "decoding worker status: %v", err)
+		service.WriteError(w, http.StatusBadGateway, "decoding worker status: %v", err)
 		return
 	}
 	ro.observe(st)
-	writeJSON(w, http.StatusOK, ro.rewrite(st))
+	service.WriteJSON(w, http.StatusOK, ro.rewrite(st))
 }
 
 // handleList reports every route's last observed status, in submission
@@ -715,7 +702,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, ro := range routes {
 		resp.Jobs = append(resp.Jobs, ro.lastStatus())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	service.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleCancel propagates DELETE to the owning worker. When the worker
@@ -730,7 +717,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	node, remoteID, _ := ro.snapshot()
 	resp, err := rt.doJSON(r.Context(), http.MethodDelete, node, "/v1/jobs/"+remoteID, nil, "")
 	if err != nil {
-		rt.metrics.proxyError()
+		rt.metrics.proxyErrors.Inc()
 		rt.mon.reportFailure(node)
 		ro.mu.Lock()
 		if !ro.terminal {
@@ -740,7 +727,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		}
 		st := ro.rewrite(ro.last)
 		ro.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		service.WriteJSON(w, http.StatusOK, st)
 		return
 	}
 	defer resp.Body.Close()
@@ -755,11 +742,11 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	var st service.JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
-		writeError(w, http.StatusBadGateway, "decoding worker status: %v", err)
+		service.WriteError(w, http.StatusBadGateway, "decoding worker status: %v", err)
 		return
 	}
 	ro.observe(st)
-	writeJSON(w, http.StatusOK, ro.rewrite(st))
+	service.WriteJSON(w, http.StatusOK, ro.rewrite(st))
 }
 
 // handleResult relays a done job's table bytes verbatim — the fleet's
@@ -779,7 +766,7 @@ func (rt *Router) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, node+path, nil)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		service.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	if accept := r.Header.Get("Accept"); accept != "" {
@@ -787,10 +774,10 @@ func (rt *Router) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.metrics.proxyError()
+		rt.metrics.proxyErrors.Inc()
 		rt.mon.reportFailure(node)
 		rt.requeueRoute(ro, node, true)
-		writeBackpressure(w, http.StatusServiceUnavailable, rt.cfg.RetryAfter.Milliseconds(),
+		service.WriteBackpressure(w, http.StatusServiceUnavailable,
 			"worker %s unreachable; job requeued, retry for the recomputed result", node)
 		return
 	}
@@ -840,10 +827,10 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 		traceID = tc.TraceID.String()
 	}
 	if len(nodes) == 0 {
-		writeError(w, http.StatusNotFound, "no trace recorded for job %q", ro.id)
+		service.WriteError(w, http.StatusNotFound, "no trace recorded for job %q", ro.id)
 		return
 	}
-	writeJSON(w, http.StatusOK, obs.BuildTree(traceID, nodes))
+	service.WriteJSON(w, http.StatusOK, obs.BuildTree(traceID, nodes))
 }
 
 // cancelOrphan DELETEs a job left behind on a node the router stopped
@@ -897,7 +884,7 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if r.Context().Err() != nil {
 				return // client went away
 			}
-			rt.metrics.proxyError()
+			rt.metrics.proxyErrors.Inc()
 			rt.mon.reportFailure(node)
 			if !rt.requeueRoute(ro, node, false) {
 				return
@@ -969,11 +956,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBatchBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "decoding batch: %v", err)
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
+		service.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	specs := make([]snnmap.JobSpec, len(req.Jobs))
@@ -981,7 +968,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, spec := range req.Jobs {
 		norm, err := spec.Normalize()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
+			service.WriteError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
 			return
 		}
 		specs[i] = norm
@@ -1007,7 +994,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, h := range hashes {
 		cands := rt.successors(h)
 		if len(cands) == 0 {
-			writeBackpressure(w, http.StatusServiceUnavailable, rt.cfg.RetryAfter.Milliseconds(), "no live workers")
+			service.WriteBackpressure(w, http.StatusServiceUnavailable, "no live workers")
 			return
 		}
 		owner := cands[0]
@@ -1030,7 +1017,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rollback := func() {
 		for _, p := range placements {
 			for _, st := range p.statuses {
-				if !isTerminal(st.State) {
+				if !st.State.Terminal() {
 					resp, err := rt.doJSON(context.Background(), http.MethodDelete, p.node, "/v1/jobs/"+st.ID, nil, "")
 					if err == nil {
 						io.Copy(io.Discard, resp.Body)
@@ -1050,7 +1037,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		body, err := json.Marshal(sub)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			service.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		// Owner first, spill the whole sub-batch to the remaining live
@@ -1072,7 +1059,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if rf != nil {
 				rt.relayRefusal(w, rf)
 			} else {
-				writeBackpressure(w, http.StatusServiceUnavailable, rt.cfg.RetryAfter.Milliseconds(), "no live workers")
+				service.WriteBackpressure(w, http.StatusServiceUnavailable, "no live workers")
 			}
 			return
 		}
@@ -1080,7 +1067,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		scatterSp.End()
 		if len(st.statuses) != len(sb.indices) {
 			rollback()
-			writeError(w, http.StatusBadGateway, "worker %s returned %d statuses for %d jobs", st.node, len(st.statuses), len(sb.indices))
+			service.WriteError(w, http.StatusBadGateway, "worker %s returned %d statuses for %d jobs", st.node, len(st.statuses), len(sb.indices))
 			return
 		}
 		placements = append(placements, placed{node: st.node, statuses: st.statuses, indices: sb.indices, trace: scatterSp.Context()})
@@ -1089,7 +1076,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Merge: one route per distinct remote job (duplicate hashes collapse
 	// worker-side onto one job; they share a route here too), statuses in
 	// input order.
-	rt.metrics.batch()
+	rt.metrics.batches.Inc()
 	resp := struct {
 		Jobs []service.JobStatus `json:"jobs"`
 	}{Jobs: make([]service.JobStatus, len(specs))}
@@ -1102,17 +1089,17 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if ro == nil {
 				specJSON, err := json.Marshal(specs[i])
 				if err != nil {
-					writeError(w, http.StatusBadRequest, "%v", err)
+					service.WriteError(w, http.StatusBadRequest, "%v", err)
 					return
 				}
 				ro = rt.newRoute(rt.nextID(), hashes[i], tenant, specJSON, p.node, st, p.trace)
-				rt.metrics.routed(p.node)
+				rt.metrics.routed.Inc(p.node)
 				shared[key] = ro
 			}
 			resp.Jobs[i] = ro.rewrite(st)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	service.WriteJSON(w, http.StatusOK, resp)
 }
 
 // batchPlacement is one accepted sub-batch.
@@ -1127,14 +1114,14 @@ func (rt *Router) submitBatchTo(ctx context.Context, candidates []string, body [
 	for _, n := range candidates {
 		resp, err := rt.doJSON(ctx, http.MethodPost, n, "/v1/batches", body, tenant)
 		if err != nil {
-			rt.metrics.proxyError()
+			rt.metrics.proxyErrors.Inc()
 			rt.mon.reportFailure(n)
 			continue
 		}
 		rb, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBatchBytes))
 		resp.Body.Close()
 		if rerr != nil {
-			rt.metrics.proxyError()
+			rt.metrics.proxyErrors.Inc()
 			rt.mon.reportFailure(n)
 			continue
 		}
@@ -1144,12 +1131,12 @@ func (rt *Router) submitBatchTo(ctx context.Context, candidates []string, body [
 				Jobs []service.JobStatus `json:"jobs"`
 			}
 			if json.Unmarshal(rb, &br) != nil {
-				rt.metrics.proxyError()
+				rt.metrics.proxyErrors.Inc()
 				continue
 			}
 			return &batchPlacement{node: n, statuses: br.Jobs}, nil, nil
 		case http.StatusTooManyRequests:
-			rt.metrics.spill()
+			rt.metrics.spills.Inc()
 			obs.AddEvent(ctx, "spill", obs.String("node", n), obs.Int("code", resp.StatusCode))
 			lastRefusal = &refusal{code: resp.StatusCode, body: rb, retryAfter: resp.Header.Get("Retry-After")}
 		case http.StatusServiceUnavailable:
@@ -1190,23 +1177,22 @@ type FleetView struct {
 
 func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	views := rt.mon.views()
-	sortViews(views)
 	rt.mu.Lock()
 	routes := len(rt.routes)
 	vnodes := rt.ring.vnodes
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, FleetView{
+	service.WriteJSON(w, http.StatusOK, FleetView{
 		Origin:   rt.token,
 		VNodes:   vnodes,
 		Nodes:    views,
 		Routes:   routes,
-		Requeues: rt.metrics.requeueCount(),
+		Requeues: rt.metrics.requeues.Value(),
 		Chaos:    resilience.Snapshot(),
 	})
 }
 
 func (rt *Router) handleVersion(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	service.WriteJSON(w, http.StatusOK, struct {
 		Service string `json:"service"`
 		Mode    string `json:"mode"`
 		Peers   int    `json:"peers"`
@@ -1216,62 +1202,12 @@ func (rt *Router) handleVersion(w http.ResponseWriter, r *http.Request) {
 // handleHealthz: the router is stateless and always live; worker health
 // is reported per node on /v1/fleet.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	service.WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "ok"})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = rt.metrics.WritePrometheus(w)
-}
-
-// --- small local twins of the worker's response helpers (the service
-// package keeps its own unexported; the wire shapes must match). ---
-
-type errorBody struct {
-	Error        string `json:"error"`
-	Code         string `json:"code"`
-	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
-}
-
-func errCode(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusTooManyRequests:
-		return "overloaded"
-	case http.StatusServiceUnavailable:
-		return "draining"
-	}
-	return "error"
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...), Code: errCode(code)})
-}
-
-func writeBackpressure(w http.ResponseWriter, status int, retryAfter int64, format string, args ...any) {
-	secs := retryAfter / 1000
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, status, errorBody{
-		Error:        fmt.Sprintf(format, args...),
-		Code:         errCode(status),
-		RetryAfterMs: retryAfter,
-	})
+	_ = rt.metrics.reg.WritePrometheus(w)
 }

@@ -203,16 +203,12 @@ func statusVia(t *testing.T, base, id string) service.JobStatus {
 	return st
 }
 
-func isTerminalState(s service.JobState) bool {
-	return s == service.JobDone || s == service.JobFailed || s == service.JobCanceled
-}
-
 func waitDoneVia(t *testing.T, base, id string, timeout time.Duration) service.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
 		st := statusVia(t, base, id)
-		if isTerminalState(st.State) {
+		if st.State.Terminal() {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -230,7 +226,7 @@ func waitRunningVia(t *testing.T, base, id string) {
 		if st.State == service.JobRunning {
 			return
 		}
-		if isTerminalState(st.State) {
+		if st.State.Terminal() {
 			t.Skipf("job finished (%s) before it could be observed running", st.State)
 		}
 		if time.Now().After(deadline) {
@@ -564,7 +560,7 @@ func TestRouterBatchScatter(t *testing.T) {
 			t.Fatalf("worker %s executed %d jobs, ring owner share is %d", w.url, got, wantPerNode[w.url])
 		}
 	}
-	if got := rt.metrics.batches; got != 1 {
+	if got := rt.metrics.batches.Value(); got != 1 {
 		t.Fatalf("router batches counter = %d, want 1", got)
 	}
 }
@@ -597,7 +593,7 @@ func TestRouterOverloadRelay(t *testing.T) {
 	if !strings.Contains(string(body), `"code": "overloaded"`) {
 		t.Fatalf("relayed shed body:\n%s", body)
 	}
-	if got := rt.metrics.spills; got < 1 {
+	if got := rt.metrics.spills.Value(); got < 1 {
 		t.Fatalf("router spills = %d, want >= 1", got)
 	}
 

@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	snnmap "repro"
 	"repro/internal/fleet/resilience"
+	"repro/internal/obs"
 )
 
 // CacheStore is the slice of the worker's result cache the warmer
@@ -57,11 +58,8 @@ type Warmer struct {
 	peers []string
 	retry resilience.Policy
 
-	mu      sync.Mutex
-	planned int64
-	fetched int64
-	errors  int64
-	done    bool
+	planned, fetched, errors atomic.Int64
+	done                     atomic.Bool
 }
 
 // NewWarmer builds a warmer; Run starts the transfer.
@@ -88,21 +86,27 @@ func NewWarmer(cfg WarmerConfig) *Warmer {
 		retry: resilience.Policy{MaxAttempts: 2, BaseDelay: 25 * time.Millisecond, MaxDelay: 100 * time.Millisecond}}
 }
 
-// Bind attaches the cache to warm. It exists because the warmer's
-// metrics hook must be wired into the service config before the server
-// — the cache owner — is constructed; call it before Run.
-func (w *Warmer) Bind(cache CacheStore) { w.cfg.Cache = cache }
+// RegisterMetrics declares the snnmapd_cache_warm_* families on reg —
+// the worker's registry (service.Server.Metrics), so warm progress
+// rides the worker's /metrics.
+func (w *Warmer) RegisterMetrics(reg *obs.Registry) {
+	reg.GaugeFunc("snnmapd_cache_warm_planned", "Cache entries the join warmer planned to pull.", w.planned.Load)
+	reg.CounterFunc("snnmapd_cache_warm_fetched_total", "Cache entries pulled by the join warmer.", w.fetched.Load)
+	reg.CounterFunc("snnmapd_cache_warm_errors_total", "Join-warmer pulls that failed after retries.", w.errors.Load)
+	reg.GaugeFunc("snnmapd_cache_warm_done", "Whether the join warm pass completed (1) or is still running (0).", func() int64 {
+		if w.done.Load() {
+			return 1
+		}
+		return 0
+	})
+}
 
 // Run executes one warm pass and returns when it completes or ctx
 // fires. Call it in a goroutine at worker startup — submissions served
 // while it runs simply miss the local tier and fall through to the
 // peer-fetch path, so warming is never on any request's critical path.
 func (w *Warmer) Run(ctx context.Context) {
-	defer func() {
-		w.mu.Lock()
-		w.done = true
-		w.mu.Unlock()
-	}()
+	defer w.done.Store(true)
 	if w.cfg.Cache == nil {
 		return
 	}
@@ -128,9 +132,7 @@ func (w *Warmer) Run(ctx context.Context) {
 			plan = append(plan, pull{hash: h, peer: peer})
 		}
 	}
-	w.mu.Lock()
-	w.planned = int64(len(plan))
-	w.mu.Unlock()
+	w.planned.Store(int64(len(plan)))
 
 	// Transfer, one entry per rate tick. A ticker (not a sleep-per-item
 	// loop) keeps the bound exact however long individual fetches take.
@@ -146,14 +148,10 @@ func (w *Warmer) Run(ctx context.Context) {
 			}
 		}
 		if err := w.fetch(ctx, p.peer, p.hash); err != nil {
-			w.mu.Lock()
-			w.errors++
-			w.mu.Unlock()
+			w.errors.Add(1)
 			continue
 		}
-		w.mu.Lock()
-		w.fetched++
-		w.mu.Unlock()
+		w.fetched.Add(1)
 	}
 }
 
@@ -217,33 +215,5 @@ func (w *Warmer) fetch(ctx context.Context, peer, hash string) error {
 // Progress snapshots the warm pass: entries planned, fetched, failed,
 // and whether the pass finished.
 func (w *Warmer) Progress() (planned, fetched, errors int64, done bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.planned, w.fetched, w.errors, w.done
-}
-
-// WritePrometheus renders the warm-progress metrics; wire it into
-// service.Config.ExtraMetrics so they ride the worker's /metrics.
-func (w *Warmer) WritePrometheus(out io.Writer) error {
-	planned, fetched, errors, done := w.Progress()
-	var b []byte
-	p := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
-	p("# HELP snnmapd_cache_warm_planned Cache entries the join warmer planned to pull.\n")
-	p("# TYPE snnmapd_cache_warm_planned gauge\n")
-	p("snnmapd_cache_warm_planned %d\n", planned)
-	p("# HELP snnmapd_cache_warm_fetched_total Cache entries pulled by the join warmer.\n")
-	p("# TYPE snnmapd_cache_warm_fetched_total counter\n")
-	p("snnmapd_cache_warm_fetched_total %d\n", fetched)
-	p("# HELP snnmapd_cache_warm_errors_total Join-warmer pulls that failed after retries.\n")
-	p("# TYPE snnmapd_cache_warm_errors_total counter\n")
-	p("snnmapd_cache_warm_errors_total %d\n", errors)
-	p("# HELP snnmapd_cache_warm_done Whether the join warm pass completed (1) or is still running (0).\n")
-	p("# TYPE snnmapd_cache_warm_done gauge\n")
-	if done {
-		p("snnmapd_cache_warm_done 1\n")
-	} else {
-		p("snnmapd_cache_warm_done 0\n")
-	}
-	_, err := out.Write(b)
-	return err
+	return w.planned.Load(), w.fetched.Load(), w.errors.Load(), w.done.Load()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -91,26 +90,25 @@ func newWarmFixture(t *testing.T, nOwned, nOther int) *warmFixture {
 }
 
 // join boots the joiner worker with its warmer wired the way
-// cmd/snnmapd wires it (metrics hook before service construction, cache
-// bound after) and starts the warm pass. Returns the joiner's service
+// cmd/snnmapd wires it (the worker's cache to warm, its metrics registry
+// to report on) and starts the warm pass. Returns the joiner's service
 // and a channel closed when the pass completes.
 func (f *warmFixture) join(t *testing.T, rate int) (*service.Server, *Warmer, <-chan struct{}) {
 	t.Helper()
+	svc := service.New(service.Config{Workers: 2})
 	warmer := NewWarmer(WarmerConfig{
 		Self:  f.joinURL,
 		Peers: []string{f.workers[0].url, f.workers[1].url, f.joinURL},
 		Rate:  rate,
+		Cache: svc,
 	})
-	cfg := service.Config{Workers: 2}
-	cfg.ExtraMetrics = func(w io.Writer) { _ = warmer.WritePrometheus(w) }
-	svc := service.New(cfg)
+	warmer.RegisterMetrics(svc.Metrics())
 	srv := &http.Server{Handler: svc.Handler()}
 	go func() { _ = srv.Serve(f.ln) }()
 	t.Cleanup(func() {
 		_ = srv.Close()
 		svc.Kill()
 	})
-	warmer.Bind(svc)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -13,6 +13,10 @@
 // every Span method no-ops on a nil receiver. Disabling tracing is
 // therefore free on the hot path — no allocation, no locking, just a
 // nil check.
+//
+// Registry is the metrics half: each Prometheus family is declared once
+// on it, name-checked at registration, and rendered by the one
+// text-exposition writer in the repository.
 package obs
 
 import (

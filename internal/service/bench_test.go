@@ -30,7 +30,7 @@ func benchSubmitAndWait(b *testing.B, h http.Handler, spec snnmap.JobSpec) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		b.Fatal(err)
 	}
-	for !st.State.terminal() {
+	for !st.State.Terminal() {
 		time.Sleep(200 * time.Microsecond)
 		r := httptest.NewRecorder()
 		h.ServeHTTP(r, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID, nil))
@@ -191,7 +191,7 @@ func BenchmarkServiceBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, st := range resp.Jobs {
-			for !st.State.terminal() {
+			for !st.State.Terminal() {
 				time.Sleep(200 * time.Microsecond)
 				r := httptest.NewRecorder()
 				h.ServeHTTP(r, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID, nil))

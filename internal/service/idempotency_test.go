@@ -80,7 +80,7 @@ func TestCacheIndex(t *testing.T) {
 		if cur.State == JobDone {
 			break
 		}
-		if cur.State.terminal() || time.Now().After(deadline) {
+		if cur.State.Terminal() || time.Now().After(deadline) {
 			t.Fatalf("job = %s, want done", cur.State)
 		}
 		time.Sleep(2 * time.Millisecond)

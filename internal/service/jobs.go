@@ -28,8 +28,8 @@ const (
 	JobCanceled JobState = "canceled"
 )
 
-// terminal reports whether the state is final.
-func (s JobState) terminal() bool {
+// Terminal reports whether the state is final.
+func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 

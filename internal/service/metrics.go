@@ -1,13 +1,6 @@
 package service
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
-	"time"
-
 	snnmap "repro"
 	"repro/internal/obs"
 )
@@ -18,294 +11,96 @@ import (
 // log-ish across that range.
 var stageBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.25, 1, 2.5, 10, 30}
 
-// histogram is a fixed-bucket latency histogram in the Prometheus
-// cumulative-bucket shape. Guarded by the owning Metrics mutex.
-type histogram struct {
-	counts []int64 // one per stageBuckets entry; +Inf is implicit via count
-	sum    float64
-	count  int64
+// stageNames are the stage histogram's label values, in pipeline order.
+var stageNames = []string{
+	snnmap.StagePartition.String(), snnmap.StagePlace.String(),
+	snnmap.StageSimulate.String(), snnmap.StageAnalyze.String(),
 }
 
-func (h *histogram) observe(seconds float64) {
-	if h.counts == nil {
-		h.counts = make([]int64, len(stageBuckets))
-	}
-	for i, ub := range stageBuckets {
-		if seconds <= ub {
-			h.counts[i]++
-		}
-	}
-	h.sum += seconds
-	h.count++
-}
+// metrics are the daemon's operational metrics, each declared once on
+// the server's registry, which renders GET /metrics. Stats snapshots
+// read the same counters.
+type metrics struct {
+	reg *obs.Registry
 
-// Metrics aggregates the daemon's operational counters and renders them
-// in the Prometheus text exposition format — stdlib only, scrapeable by
-// any Prometheus-compatible collector. All methods are safe for
-// concurrent use.
-type Metrics struct {
-	mu sync.Mutex
+	jobsTotal   *obs.CounterVec // by terminal state
+	jobsQueued  *obs.Gauge
+	jobsRunning *obs.Gauge
 
-	jobsTotal   map[string]int64 // by terminal state
-	jobsQueued  int64
-	jobsRunning int64
-
-	cacheHits   int64
-	cacheMisses int64
-
-	poolHits      int64
-	poolMisses    int64
-	poolEvictions int64
+	cacheHits, cacheMisses *obs.Counter
 
 	// Tiered-cache and fleet-facing counters: second-tier lookups made
 	// through the FetchPeer hook, tables served to peers, jobs actually
 	// executed to done on this node, submissions shed by the admission
 	// bounds, and batch submissions accepted.
-	peerHits    int64
-	peerMisses  int64
-	peerServes  int64
-	executed    int64
-	shed        int64
-	batches     int64
-	idemReplays int64
+	peerHits, peerMisses, peerServes *obs.Counter
+	executed, shed, batches          *obs.Counter
+	idemReplays                      *obs.Counter
 
-	stages map[snnmap.Stage]*histogram
+	poolHits, poolMisses, poolEvictions *obs.Counter
 
-	// occupancy gauges are read at render time so they can never drift
-	// from the structures they describe.
-	cacheEntries func() int
-	poolEntries  func() int
+	stageSeconds *obs.HistogramVec
 }
 
-func newMetrics() *Metrics {
-	return &Metrics{
-		jobsTotal: map[string]int64{},
-		stages:    map[snnmap.Stage]*histogram{},
-	}
-}
+// newMetrics declares the daemon's families in exposition order. The
+// occupancy gauges read cacheEntries and poolEntries at render time.
+func newMetrics(cacheEntries, poolEntries func() int64) *metrics {
+	r := obs.NewRegistry()
+	m := &metrics{reg: r}
+	m.jobsTotal = r.CounterVec("snnmapd_jobs_total", "Jobs reaching a terminal state, by state.", "state")
+	m.jobsQueued = r.Gauge("snnmapd_jobs_queued", "Jobs accepted and waiting for a worker.")
+	m.jobsRunning = r.Gauge("snnmapd_jobs_running", "Jobs currently executing on a worker.")
 
-func (m *Metrics) jobQueued() {
-	m.mu.Lock()
-	m.jobsQueued++
-	m.mu.Unlock()
-}
+	m.cacheHits = r.Counter("snnmapd_result_cache_hits_total", "Jobs answered from the content-addressed result cache.")
+	m.cacheMisses = r.Counter("snnmapd_result_cache_misses_total", "Jobs whose canonical spec was not cached.")
+	r.RatioFunc("snnmapd_result_cache_hit_ratio", "Fraction of result-cache lookups answered locally (0 before any lookup).",
+		func() float64 { return ratio(m.cacheHits, m.cacheMisses) })
+	r.GaugeFunc("snnmapd_result_cache_entries", "Result tables currently cached.", cacheEntries)
 
-func (m *Metrics) jobStarted() {
-	m.mu.Lock()
-	m.jobsQueued--
-	m.jobsRunning++
-	m.mu.Unlock()
+	m.peerHits = r.Counter("snnmapd_peer_cache_hits_total", "Local misses answered by a peer's result cache (tiered fetch).")
+	m.peerMisses = r.Counter("snnmapd_peer_cache_misses_total", "Tiered peer-cache lookups that found nothing.")
+	m.peerServes = r.Counter("snnmapd_peer_cache_serves_total", "Cached tables this node served to peers via GET /v1/cache/{hash}.")
+
+	m.executed = r.Counter("snnmapd_jobs_executed_total", "Jobs that ran a pipeline to done on this node (cache- and peer-answered jobs excluded).")
+	m.shed = r.Counter("snnmapd_loadshed_total", "Submissions refused by the admission queue bounds (429).")
+	m.batches = r.Counter("snnmapd_batches_total", "Batch submissions accepted.")
+	m.idemReplays = r.Counter("snnmapd_idempotent_replays_total", "Keyed resubmissions answered with the already-accepted job.")
+
+	m.poolHits = r.Counter("snnmapd_session_pool_hits_total", "Jobs served by an already-warm pipeline session.")
+	m.poolMisses = r.Counter("snnmapd_session_pool_misses_total", "Jobs that had to construct a pipeline session.")
+	m.poolEvictions = r.Counter("snnmapd_session_pool_evictions_total", "Warm sessions evicted by the LRU bound.")
+	r.RatioFunc("snnmapd_session_pool_hit_ratio", "Fraction of session lookups served by an already-warm pipeline (0 before any lookup).",
+		func() float64 { return ratio(m.poolHits, m.poolMisses) })
+	r.GaugeFunc("snnmapd_session_pool_entries", "Warm sessions currently pooled.", poolEntries)
+
+	m.stageSeconds = r.HistogramVec("snnmapd_stage_seconds", "Pipeline stage wall clock.", "stage", stageNames, stageBuckets)
+	return m
 }
 
 // jobFinished records a job reaching the terminal state; running tracks
 // whether it occupied a worker (cached and pre-start-canceled jobs never
 // do).
-func (m *Metrics) jobFinished(state string, running bool) {
-	m.mu.Lock()
+func (m *metrics) jobFinished(state JobState, running bool) {
 	if running {
-		m.jobsRunning--
+		m.jobsRunning.Add(-1)
 	}
-	m.jobsTotal[state]++
-	m.mu.Unlock()
+	m.jobsTotal.Inc(string(state))
 }
 
-// jobDequeued records a job leaving the queue without running (canceled
-// while queued, or dropped at submission rollback).
-func (m *Metrics) jobDequeued() {
-	m.mu.Lock()
-	m.jobsQueued--
-	m.mu.Unlock()
-}
-
-func (m *Metrics) cacheLookup(hit bool) {
-	m.mu.Lock()
+// countLookup counts one cache or pool lookup as a hit or a miss.
+func countLookup(hit bool, hits, misses *obs.Counter) {
 	if hit {
-		m.cacheHits++
+		hits.Inc()
 	} else {
-		m.cacheMisses++
+		misses.Inc()
 	}
-	m.mu.Unlock()
 }
-
-func (m *Metrics) poolLookup(hit bool) {
-	m.mu.Lock()
-	if hit {
-		m.poolHits++
-	} else {
-		m.poolMisses++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) poolEvicted(n int) {
-	m.mu.Lock()
-	m.poolEvictions += int64(n)
-	m.mu.Unlock()
-}
-
-func (m *Metrics) peerLookup(hit bool) {
-	m.mu.Lock()
-	if hit {
-		m.peerHits++
-	} else {
-		m.peerMisses++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) peerServed() {
-	m.mu.Lock()
-	m.peerServes++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) jobExecuted() {
-	m.mu.Lock()
-	m.executed++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) jobShed() {
-	m.mu.Lock()
-	m.shed++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) batchAccepted() {
-	m.mu.Lock()
-	m.batches++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) idemReplay() {
-	m.mu.Lock()
-	m.idemReplays++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) observeStage(stage snnmap.Stage, elapsed time.Duration) {
-	m.mu.Lock()
-	h := m.stages[stage]
-	if h == nil {
-		h = &histogram{}
-		m.stages[stage] = h
-	}
-	h.observe(elapsed.Seconds())
-	m.mu.Unlock()
-}
-
-// fmtFloat renders a float the way Prometheus clients do (shortest
-// round-trip form).
-func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // ratio is hits/(hits+misses), 0 before any lookup.
-func ratio(hits, misses int64) float64 {
-	if hits+misses == 0 {
+func ratio(hits, misses *obs.Counter) float64 {
+	h, n := hits.Value(), misses.Value()
+	if h+n == 0 {
 		return 0
 	}
-	return float64(hits) / float64(hits+misses)
-}
-
-// WritePrometheus renders every metric in the text exposition format,
-// deterministically ordered so the output is diffable and golden-testable.
-func (m *Metrics) WritePrometheus(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	var b []byte
-	p := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
-
-	p("# HELP snnmapd_jobs_total Jobs reaching a terminal state, by state.\n")
-	p("# TYPE snnmapd_jobs_total counter\n")
-	states := make([]string, 0, len(m.jobsTotal))
-	for s := range m.jobsTotal {
-		states = append(states, s)
-	}
-	sort.Strings(states)
-	for _, s := range states {
-		p("snnmapd_jobs_total{state=\"%s\"} %d\n", obs.PromLabel(s), m.jobsTotal[s])
-	}
-
-	p("# HELP snnmapd_jobs_queued Jobs accepted and waiting for a worker.\n")
-	p("# TYPE snnmapd_jobs_queued gauge\n")
-	p("snnmapd_jobs_queued %d\n", m.jobsQueued)
-	p("# HELP snnmapd_jobs_running Jobs currently executing on a worker.\n")
-	p("# TYPE snnmapd_jobs_running gauge\n")
-	p("snnmapd_jobs_running %d\n", m.jobsRunning)
-
-	p("# HELP snnmapd_result_cache_hits_total Jobs answered from the content-addressed result cache.\n")
-	p("# TYPE snnmapd_result_cache_hits_total counter\n")
-	p("snnmapd_result_cache_hits_total %d\n", m.cacheHits)
-	p("# HELP snnmapd_result_cache_misses_total Jobs whose canonical spec was not cached.\n")
-	p("# TYPE snnmapd_result_cache_misses_total counter\n")
-	p("snnmapd_result_cache_misses_total %d\n", m.cacheMisses)
-	p("# HELP snnmapd_result_cache_hit_ratio Fraction of result-cache lookups answered locally (0 before any lookup).\n")
-	p("# TYPE snnmapd_result_cache_hit_ratio gauge\n")
-	p("snnmapd_result_cache_hit_ratio %s\n", fmtFloat(ratio(m.cacheHits, m.cacheMisses)))
-	if m.cacheEntries != nil {
-		p("# HELP snnmapd_result_cache_entries Result tables currently cached.\n")
-		p("# TYPE snnmapd_result_cache_entries gauge\n")
-		p("snnmapd_result_cache_entries %d\n", m.cacheEntries())
-	}
-
-	p("# HELP snnmapd_peer_cache_hits_total Local misses answered by a peer's result cache (tiered fetch).\n")
-	p("# TYPE snnmapd_peer_cache_hits_total counter\n")
-	p("snnmapd_peer_cache_hits_total %d\n", m.peerHits)
-	p("# HELP snnmapd_peer_cache_misses_total Tiered peer-cache lookups that found nothing.\n")
-	p("# TYPE snnmapd_peer_cache_misses_total counter\n")
-	p("snnmapd_peer_cache_misses_total %d\n", m.peerMisses)
-	p("# HELP snnmapd_peer_cache_serves_total Cached tables this node served to peers via GET /v1/cache/{hash}.\n")
-	p("# TYPE snnmapd_peer_cache_serves_total counter\n")
-	p("snnmapd_peer_cache_serves_total %d\n", m.peerServes)
-
-	p("# HELP snnmapd_jobs_executed_total Jobs that ran a pipeline to done on this node (cache- and peer-answered jobs excluded).\n")
-	p("# TYPE snnmapd_jobs_executed_total counter\n")
-	p("snnmapd_jobs_executed_total %d\n", m.executed)
-	p("# HELP snnmapd_loadshed_total Submissions refused by the admission queue bounds (429).\n")
-	p("# TYPE snnmapd_loadshed_total counter\n")
-	p("snnmapd_loadshed_total %d\n", m.shed)
-	p("# HELP snnmapd_batches_total Batch submissions accepted.\n")
-	p("# TYPE snnmapd_batches_total counter\n")
-	p("snnmapd_batches_total %d\n", m.batches)
-	p("# HELP snnmapd_idempotent_replays_total Keyed resubmissions answered with the already-accepted job.\n")
-	p("# TYPE snnmapd_idempotent_replays_total counter\n")
-	p("snnmapd_idempotent_replays_total %d\n", m.idemReplays)
-
-	p("# HELP snnmapd_session_pool_hits_total Jobs served by an already-warm pipeline session.\n")
-	p("# TYPE snnmapd_session_pool_hits_total counter\n")
-	p("snnmapd_session_pool_hits_total %d\n", m.poolHits)
-	p("# HELP snnmapd_session_pool_misses_total Jobs that had to construct a pipeline session.\n")
-	p("# TYPE snnmapd_session_pool_misses_total counter\n")
-	p("snnmapd_session_pool_misses_total %d\n", m.poolMisses)
-	p("# HELP snnmapd_session_pool_evictions_total Warm sessions evicted by the LRU bound.\n")
-	p("# TYPE snnmapd_session_pool_evictions_total counter\n")
-	p("snnmapd_session_pool_evictions_total %d\n", m.poolEvictions)
-	p("# HELP snnmapd_session_pool_hit_ratio Fraction of session lookups served by an already-warm pipeline (0 before any lookup).\n")
-	p("# TYPE snnmapd_session_pool_hit_ratio gauge\n")
-	p("snnmapd_session_pool_hit_ratio %s\n", fmtFloat(ratio(m.poolHits, m.poolMisses)))
-	if m.poolEntries != nil {
-		p("# HELP snnmapd_session_pool_entries Warm sessions currently pooled.\n")
-		p("# TYPE snnmapd_session_pool_entries gauge\n")
-		p("snnmapd_session_pool_entries %d\n", m.poolEntries())
-	}
-
-	p("# HELP snnmapd_stage_seconds Pipeline stage wall clock.\n")
-	p("# TYPE snnmapd_stage_seconds histogram\n")
-	stages := make([]snnmap.Stage, 0, len(m.stages))
-	for s := range m.stages {
-		stages = append(stages, s)
-	}
-	sort.Slice(stages, func(i, j int) bool { return stages[i] < stages[j] })
-	for _, s := range stages {
-		h := m.stages[s]
-		for i, ub := range stageBuckets {
-			p("snnmapd_stage_seconds_bucket{stage=\"%s\",le=\"%s\"} %d\n", obs.PromLabel(s.String()), fmtFloat(ub), h.counts[i])
-		}
-		p("snnmapd_stage_seconds_bucket{stage=\"%s\",le=\"+Inf\"} %d\n", obs.PromLabel(s.String()), h.count)
-		p("snnmapd_stage_seconds_sum{stage=\"%s\"} %s\n", obs.PromLabel(s.String()), fmtFloat(h.sum))
-		p("snnmapd_stage_seconds_count{stage=\"%s\"} %d\n", obs.PromLabel(s.String()), h.count)
-	}
-
-	_, err := w.Write(b)
-	return err
+	return float64(h) / float64(h+n)
 }

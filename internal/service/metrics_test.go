@@ -4,84 +4,40 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
-	snnmap "repro"
 	"repro/internal/goldentest"
 )
 
-// TestHistogramCumulativeBoundaries pins the Prometheus bucket
-// semantics: buckets are cumulative (every bucket whose upper bound is
-// >= the value counts the observation, `le` meaning less-or-equal), a
-// value landing exactly on a bound belongs to that bucket, and a value
-// above the top bound is visible only through +Inf (h.count) and the
-// sum.
-func TestHistogramCumulativeBoundaries(t *testing.T) {
-	h := &histogram{}
-
-	h.observe(0.025) // exactly on the third bucket bound
-	want := []int64{0, 0, 1, 1, 1, 1, 1, 1, 1}
-	for i, w := range want {
-		if h.counts[i] != w {
-			t.Fatalf("after observe(0.025): counts[%d]=%d want %d (bound %g)", i, h.counts[i], w, stageBuckets[i])
-		}
-	}
-
-	h.observe(0.001) // exactly on the lowest bound: every bucket
-	h.observe(31)    // above the top bound: no explicit bucket at all
-	want = []int64{1, 1, 2, 2, 2, 2, 2, 2, 2}
-	for i, w := range want {
-		if h.counts[i] != w {
-			t.Fatalf("counts[%d]=%d want %d (bound %g)", i, h.counts[i], w, stageBuckets[i])
-		}
-	}
-	if h.count != 3 {
-		t.Fatalf("count=%d want 3 (the +Inf bucket must include the out-of-range value)", h.count)
-	}
-	if wantSum := 0.025 + 0.001 + 31; h.sum != wantSum {
-		t.Fatalf("sum=%g want %g", h.sum, wantSum)
-	}
-	for i := 1; i < len(h.counts); i++ {
-		if h.counts[i] < h.counts[i-1] {
-			t.Fatalf("buckets not cumulative: counts[%d]=%d < counts[%d]=%d", i, h.counts[i], i-1, h.counts[i-1])
-		}
-	}
-}
-
-// TestWritePrometheusGolden renders a fully populated Metrics and
+// TestWritePrometheusGolden renders a fully populated metrics set and
 // compares the entire text exposition byte-for-byte. The render is
 // deterministically ordered on purpose; this test is the contract. The
 // hostile jobsTotal key additionally pins the label-value escaping:
 // backslash, quote and newline escaped, nothing else (a %q renderer
 // would emit \u-escapes no Prometheus parser accepts).
 func TestWritePrometheusGolden(t *testing.T) {
-	m := newMetrics()
-	m.jobsTotal["done"] = 3
-	m.jobsTotal["failed"] = 1
-	m.jobsTotal["a\"b\\c\nd"] = 1
-	m.jobsQueued = 2
-	m.jobsRunning = 1
-	m.cacheHits = 4
-	m.cacheMisses = 6
-	m.cacheEntries = func() int { return 5 }
-	m.peerHits = 1
-	m.peerMisses = 2
-	m.peerServes = 3
-	m.executed = 7
-	m.shed = 1
-	m.batches = 2
-	m.idemReplays = 1
-	m.poolHits = 3
-	m.poolMisses = 1
-	m.poolEvictions = 2
-	m.poolEntries = func() int { return 2 }
-	h := &histogram{}
-	h.observe(0.025) // exactly on a bucket bound
-	h.observe(40)    // above the top bound: +Inf only
-	m.stages[snnmap.StagePartition] = h
+	m := newMetrics(func() int64 { return 5 }, func() int64 { return 2 })
+	m.jobsTotal.Add("done", 3)
+	m.jobsTotal.Add("failed", 1)
+	m.jobsTotal.Add("a\"b\\c\nd", 1)
+	m.jobsQueued.Add(2)
+	m.jobsRunning.Add(1)
+	m.cacheHits.Add(4)
+	m.cacheMisses.Add(6)
+	m.peerHits.Add(1)
+	m.peerMisses.Add(2)
+	m.peerServes.Add(3)
+	m.executed.Add(7)
+	m.shed.Add(1)
+	m.batches.Add(2)
+	m.idemReplays.Add(1)
+	m.poolHits.Add(3)
+	m.poolMisses.Add(1)
+	m.poolEvictions.Add(2)
+	m.stageSeconds.Observe("partition", 0.025) // exactly on a bucket bound
+	m.stageSeconds.Observe("partition", 40)    // above the top bound: +Inf only
 
 	var sb strings.Builder
-	if err := m.WritePrometheus(&sb); err != nil {
+	if err := m.reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()
@@ -184,19 +140,17 @@ func TestWritePrometheusGolden(t *testing.T) {
 // simulate, analyze), not in label-string order, and counters at or
 // above one million render as plain integers, never as 1e+06.
 func TestWritePrometheusAllStagesGolden(t *testing.T) {
-	m := newMetrics()
-	m.cacheEntries = func() int { return 0 }
-	m.poolEntries = func() int { return 0 }
-	m.jobsTotal["done"] = 1_000_000
-	m.executed = 1_000_000
-	m.cacheHits = 1
-	m.observeStage(snnmap.StageAnalyze, 40*time.Millisecond)
-	m.observeStage(snnmap.StageSimulate, 12*time.Second)
-	m.observeStage(snnmap.StagePlace, 500*time.Microsecond)
-	m.observeStage(snnmap.StagePartition, 3*time.Millisecond)
+	m := newMetrics(func() int64 { return 0 }, func() int64 { return 0 })
+	m.jobsTotal.Add("done", 1_000_000)
+	m.executed.Add(1_000_000)
+	m.cacheHits.Inc()
+	m.stageSeconds.Observe("analyze", 0.04)
+	m.stageSeconds.Observe("simulate", 12)
+	m.stageSeconds.Observe("place", 0.0005)
+	m.stageSeconds.Observe("partition", 0.003)
 
 	var b bytes.Buffer
-	if err := m.WritePrometheus(&b); err != nil {
+	if err := m.reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	goldentest.Check(t, "metrics_all_stages.prom.golden", b.Bytes())

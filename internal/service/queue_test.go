@@ -127,7 +127,7 @@ func TestFairQueueCloseDrains(t *testing.T) {
 // moves. The single worker is pinned by a slow job so the queue state is
 // deterministic.
 func TestLoadShedResponse(t *testing.T) {
-	s, h := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	s, h := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	running := submit(t, h, slowSpec(), http.StatusAccepted)
 	waitRunning(t, h, running.ID)
 
@@ -141,11 +141,11 @@ func TestLoadShedResponse(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit = %d %s", rec.Code, rec.Body.String())
 	}
-	if got := rec.Header().Get("Retry-After"); got != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", got)
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 	body := rec.Body.String()
-	for _, want := range []string{`"code": "overloaded"`, `"retry_after_ms": 2000`, "queue full"} {
+	for _, want := range []string{`"code": "overloaded"`, `"retry_after_ms": 1000`, "queue full"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("shed body missing %q:\n%s", want, body)
 		}

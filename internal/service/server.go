@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	snnmap "repro"
 	"repro/internal/fleet/resilience"
@@ -45,9 +46,10 @@ func (s *Server) Handler() http.Handler {
 	return resilience.WithDeadline(mux)
 }
 
-// writeJSON renders v as indented JSON (trailing newline included), the
-// uniform response shape of every JSON endpoint.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON renders v as indented JSON (trailing newline included), the
+// uniform response shape of every JSON endpoint — the worker's and the
+// fleet router's.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -86,36 +88,35 @@ func errCode(status int) string {
 	return "error"
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...), Code: errCode(code)})
+// WriteError renders the uniform error body for status code.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...), Code: errCode(code)})
 }
 
-// writeBackpressure renders a shed (429) or draining (503) response with
+// retryAfter is the backoff every shed (429) or draining (503) response
+// advises, worker or router.
+const retryAfter = time.Second
+
+// WriteBackpressure renders a shed (429) or draining (503) response with
 // the Retry-After header and its machine-readable body twin.
-func writeBackpressure(w http.ResponseWriter, status int, retryAfter int64, format string, args ...any) {
-	secs := retryAfter / 1000
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, status, errorBody{
+func WriteBackpressure(w http.ResponseWriter, status int, format string, args ...any) {
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+	WriteJSON(w, status, errorBody{
 		Error:        fmt.Sprintf(format, args...),
 		Code:         errCode(status),
-		RetryAfterMs: retryAfter,
+		RetryAfterMs: retryAfter.Milliseconds(),
 	})
 }
 
 // shed refuses an admission-bound violation: 429, Retry-After, counter.
 func (s *Server) shed(w http.ResponseWriter, err error) {
-	s.metrics.jobShed()
-	writeBackpressure(w, http.StatusTooManyRequests, s.cfg.RetryAfter.Milliseconds(),
-		"%v (backlog %d)", err, s.queue.backlog())
+	s.metrics.shed.Inc()
+	WriteBackpressure(w, http.StatusTooManyRequests, "%v (backlog %d)", err, s.queue.backlog())
 }
 
 // unavailable refuses work while draining.
 func (s *Server) unavailable(w http.ResponseWriter) {
-	writeBackpressure(w, http.StatusServiceUnavailable, s.cfg.RetryAfter.Milliseconds(),
-		"draining: no new jobs accepted")
+	WriteBackpressure(w, http.StatusServiceUnavailable, "draining: no new jobs accepted")
 }
 
 // isDraining snapshots the drain flag.
@@ -135,17 +136,17 @@ func (s *Server) cachedTable(ctx context.Context, hash string) (*snnmap.Table, b
 	ctx, sp := obs.StartChild(ctx, "cache.lookup")
 	defer sp.End()
 	if table, ok := s.cache.get(hash); ok {
-		s.metrics.cacheLookup(true)
+		s.metrics.cacheHits.Inc()
 		sp.SetAttr(obs.Bool("hit", true), obs.String("tier", "local"))
 		return table, true
 	}
-	s.metrics.cacheLookup(false)
+	s.metrics.cacheMisses.Inc()
 	if s.cfg.FetchPeer == nil {
 		sp.SetAttr(obs.Bool("hit", false))
 		return nil, false
 	}
 	table, ok := s.cfg.FetchPeer(ctx, hash)
-	s.metrics.peerLookup(ok)
+	countLookup(ok, s.metrics.peerHits, s.metrics.peerMisses)
 	if !ok {
 		sp.SetAttr(obs.Bool("hit", false), obs.String("tier", "peer"))
 		return nil, false
@@ -162,7 +163,7 @@ func (s *Server) finishCached(spec snnmap.JobSpec, hash string, table *snnmap.Ta
 	j := s.store.create(spec, hash, now, tr)
 	s.store.setCached(j)
 	st := s.store.finish(j, JobDone, table, "", now)
-	s.metrics.jobFinished(string(JobDone), false)
+	s.metrics.jobFinished(JobDone, false)
 	if tr != nil {
 		tr.root.SetAttr(obs.Bool("cached", true))
 		tr.finish(JobDone, "")
@@ -183,12 +184,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding job spec: %v", err)
 		return
 	}
 	spec, err := spec.Normalize()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if s.isDraining() {
@@ -206,8 +207,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if idemKey != "" {
 		if id, ok := s.idem.lookup(idemKey); ok {
 			if j, ok := s.store.get(id); ok {
-				s.metrics.idemReplay()
-				writeJSON(w, http.StatusOK, s.store.status(j))
+				s.metrics.idemReplays.Inc()
+				WriteJSON(w, http.StatusOK, s.store.status(j))
 				return
 			}
 		}
@@ -227,7 +228,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if idemKey != "" {
 			s.idem.record(idemKey, st.ID)
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 		return
 	}
 
@@ -246,13 +247,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, err)
 		return
 	}
-	s.metrics.jobQueued()
+	s.metrics.jobsQueued.Add(1)
 	j.events.append("state", statePayload{State: JobQueued})
 	s.submitMu.Unlock()
 	if idemKey != "" {
 		s.idem.record(idemKey, j.id)
 	}
-	writeJSON(w, http.StatusAccepted, s.store.status(j))
+	WriteJSON(w, http.StatusAccepted, s.store.status(j))
 }
 
 // batchRequest is the wire shape of POST /v1/batches: many job specs
@@ -280,11 +281,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBatchBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding batch: %v", err)
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
+		WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	specs := make([]snnmap.JobSpec, len(req.Jobs))
@@ -292,7 +293,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, spec := range req.Jobs {
 		norm, err := spec.Normalize()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
+			WriteError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
 			return
 		}
 		specs[i] = norm
@@ -383,12 +384,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, g := range groups {
 		for _, j := range g.jobs {
-			s.metrics.jobQueued()
+			s.metrics.jobsQueued.Add(1)
 			j.events.append("state", statePayload{State: JobQueued})
 		}
 	}
 	s.submitMu.Unlock()
-	s.metrics.batchAccepted()
+	s.metrics.batches.Inc()
 
 	// Render statuses in input order: cached specs materialize born-done
 	// jobs now (one per unique hash), fresh ones report queued.
@@ -408,7 +409,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Jobs[i] = st
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleCacheFetch serves this node's local result-cache tier to peers:
@@ -419,10 +420,10 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	table, ok := s.cache.get(hash)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for %q", hash)
+		WriteError(w, http.StatusNotFound, "no cached result for %q", hash)
 		return
 	}
-	s.metrics.peerServed()
+	s.metrics.peerServes.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	_ = table.WriteJSON(w) // a write error means the peer went away
 }
@@ -441,14 +442,14 @@ func (s *Server) handleCacheIndex(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
+			WriteError(w, http.StatusBadRequest, "bad limit %q", v)
 			return
 		}
 		if n < limit {
 			limit = n
 		}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Hashes []string `json:"hashes"`
 	}{Hashes: s.cache.keys(limit)})
 }
@@ -459,7 +460,7 @@ type listResponse struct {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, listResponse{Jobs: s.store.list()})
+	WriteJSON(w, http.StatusOK, listResponse{Jobs: s.store.list()})
 }
 
 // lookupJob resolves {id} or writes 404.
@@ -467,7 +468,7 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 	id := r.PathValue("id")
 	j, ok := s.store.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return nil, false
 	}
 	return j, true
@@ -478,7 +479,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.store.status(j))
+	WriteJSON(w, http.StatusOK, s.store.status(j))
 }
 
 // handleCancel cancels a queued or running job. Terminal jobs are left
@@ -490,10 +491,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	state, acted := s.store.markCanceled(j, s.cfg.Now())
 	if !acted {
-		writeError(w, http.StatusConflict, "job %s already %s", j.id, state)
+		WriteError(w, http.StatusConflict, "job %s already %s", j.id, state)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.store.status(j))
+	WriteJSON(w, http.StatusOK, s.store.status(j))
 }
 
 // handleResult serves a done job's Table. The format is negotiated from
@@ -510,10 +511,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	switch state {
 	case JobDone:
 	case JobFailed, JobCanceled:
-		writeError(w, http.StatusConflict, "job %s %s: %s", j.id, state, errMsg)
+		WriteError(w, http.StatusConflict, "job %s %s: %s", j.id, state, errMsg)
 		return
 	default:
-		writeError(w, http.StatusConflict, "job %s still %s", j.id, state)
+		WriteError(w, http.StatusConflict, "job %s still %s", j.id, state)
 		return
 	}
 
@@ -533,7 +534,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/csv")
 		_ = table.WriteCSV(w)
 	default:
-		writeError(w, http.StatusBadRequest, "unknown format %q (json, csv)", format)
+		WriteError(w, http.StatusBadRequest, "unknown format %q (json, csv)", format)
 	}
 }
 
@@ -548,7 +549,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.info)
+	WriteJSON(w, http.StatusOK, s.info)
 }
 
 // healthzBody is the wire shape of GET /healthz.
@@ -564,16 +565,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.submitMu.Unlock()
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, healthzBody{Status: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, healthzBody{Status: "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, healthzBody{Status: "ok"})
+	WriteJSON(w, http.StatusOK, healthzBody{Status: "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.WritePrometheus(w)
-	if s.cfg.ExtraMetrics != nil {
-		s.cfg.ExtraMetrics(w)
-	}
+	_ = s.metrics.reg.WritePrometheus(w)
 }

@@ -52,10 +52,6 @@ type Config struct {
 	// restriction). Workers drain tenant lanes round-robin, so a tenant
 	// flooding its lane delays only itself.
 	TenantDepth int
-	// RetryAfter is the backoff advertised by load-shed responses, in
-	// the Retry-After header and the retry_after_ms body field
-	// (default 1s).
-	RetryAfter time.Duration
 	// JobTimeout bounds each job's wall clock; 0 means none. Timed-out
 	// jobs fail with a deadline error; the pipeline observes the
 	// cancellation within one placement row or replay event batch.
@@ -76,12 +72,6 @@ type Config struct {
 	// single-tier. The hook must be safe for concurrent use and should
 	// bound its own latency — it sits on the submission path.
 	FetchPeer func(ctx context.Context, hash string) (*snnmap.Table, bool)
-	// ExtraMetrics, when set, is appended to the /metrics exposition
-	// after the daemon's own families — the hook for co-located
-	// subsystems (the fleet cache warmer) to publish without the service
-	// layer knowing their schema. The hook must write complete, valid
-	// Prometheus text lines.
-	ExtraMetrics func(w io.Writer)
 	// TracingDisabled turns off span recording entirely: no recorder is
 	// allocated, every span handle is nil, and GET /v1/jobs/{id}/trace
 	// answers 404. The zero value keeps tracing on — observability is
@@ -110,9 +100,6 @@ func (c Config) withDefaults() Config {
 	if c.TenantDepth <= 0 || c.TenantDepth > c.QueueDepth {
 		c.TenantDepth = c.QueueDepth
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.SessionCap <= 0 {
 		c.SessionCap = 8
 	}
@@ -139,7 +126,7 @@ type Server struct {
 	store   *jobStore
 	pool    *sessionPool
 	cache   *resultCache
-	metrics *Metrics
+	metrics *metrics
 	info    buildinfo.Info
 	idem    *idemStore
 	// tracer records finished spans; nil when Config.TracingDisabled.
@@ -163,13 +150,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		store:   newJobStore(),
-		cache:   newResultCache(cfg.CacheCap),
-		metrics: newMetrics(),
-		info:    buildinfo.Read(),
-		idem:    newIdemStore(1024),
-		queue:   newFairQueue(cfg.QueueDepth, cfg.TenantDepth),
+		cfg:   cfg,
+		store: newJobStore(),
+		cache: newResultCache(cfg.CacheCap),
+		info:  buildinfo.Read(),
+		idem:  newIdemStore(1024),
+		queue: newFairQueue(cfg.QueueDepth, cfg.TenantDepth),
 	}
 	if !cfg.TracingDisabled {
 		s.tracer = obs.NewRecorder(cfg.TraceCap)
@@ -179,8 +165,9 @@ func New(cfg Config) *Server {
 		// delivery trace and every replay streams into the metrics.
 		return snnmap.NewSessionPipeline(spec, snnmap.WithWorkers(cfg.PipelineWorkers))
 	})
-	s.metrics.cacheEntries = s.cache.len
-	s.metrics.poolEntries = s.pool.len
+	s.metrics = newMetrics(
+		func() int64 { return int64(s.cache.len()) },
+		func() int64 { return int64(s.pool.len()) })
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -215,10 +202,8 @@ func (s *Server) sessionFor(j *job, gs *groupSession) (pipe *snnmap.Pipeline, wa
 		return gs.pipe, true, nil
 	}
 	pipe, warm, evicted, err := s.pool.get(j.spec)
-	s.metrics.poolLookup(warm)
-	if evicted > 0 {
-		s.metrics.poolEvicted(evicted)
-	}
+	countLookup(warm, s.metrics.poolHits, s.metrics.poolMisses)
+	s.metrics.poolEvictions.Add(int64(evicted))
 	if err != nil {
 		return nil, false, err
 	}
@@ -243,14 +228,15 @@ func (s *Server) runJob(j *job, gs *groupSession) {
 	defer cancel()
 	if !s.store.markRunning(j, s.cfg.Now(), cancel) {
 		// Canceled while queued.
-		s.metrics.jobDequeued()
-		s.metrics.jobFinished(string(JobCanceled), false)
+		s.metrics.jobsQueued.Add(-1)
+		s.metrics.jobFinished(JobCanceled, false)
 		j.trace.finish(JobCanceled, "canceled while queued")
 		j.events.append("state", statePayload{State: JobCanceled})
 		j.events.close()
 		return
 	}
-	s.metrics.jobStarted()
+	s.metrics.jobsQueued.Add(-1)
+	s.metrics.jobsRunning.Add(1)
 	j.trace.dequeued()
 	j.events.append("state", statePayload{State: JobRunning})
 
@@ -276,8 +262,8 @@ func (s *Server) runJob(j *job, gs *groupSession) {
 	case err == nil:
 		s.cache.put(j.hash, table)
 		st := s.store.finish(j, JobDone, table, "", now)
-		s.metrics.jobExecuted()
-		s.metrics.jobFinished(string(JobDone), true)
+		s.metrics.executed.Inc()
+		s.metrics.jobFinished(JobDone, true)
 		j.trace.finish(JobDone, "")
 		j.events.append("state", statePayload{State: st.State})
 	case jctx.Err() != nil:
@@ -285,14 +271,14 @@ func (s *Server) runJob(j *job, gs *groupSession) {
 		// deadline. Per-job timeouts fire the engine's child context
 		// instead and land in the failed branch with a deadline error.
 		st := s.store.finish(j, JobCanceled, nil, err.Error(), now)
-		s.metrics.jobFinished(string(JobCanceled), true)
+		s.metrics.jobFinished(JobCanceled, true)
 		j.trace.finish(JobCanceled, st.Error)
 		s.cfg.Log.Info("job canceled",
 			"job_id", j.id, "trace_id", j.trace.traceID().String(), "error", st.Error)
 		j.events.append("state", statePayload{State: st.State, Error: st.Error})
 	default:
 		st := s.store.finish(j, JobFailed, nil, err.Error(), now)
-		s.metrics.jobFinished(string(JobFailed), true)
+		s.metrics.jobFinished(JobFailed, true)
 		j.trace.finish(JobFailed, st.Error)
 		s.cfg.Log.Warn("job failed",
 			"job_id", j.id, "trace_id", j.trace.traceID().String(), "error", st.Error)
@@ -347,7 +333,7 @@ func (s *Server) execute(ctx context.Context, j *job, gs *groupSession) (*snnmap
 		// The stage span and the histogram observation share one
 		// duration, so metrics and traces agree by construction.
 		stageSpan(techSp, ev)
-		s.metrics.observeStage(ev.Stage, ev.Elapsed)
+		s.metrics.stageSeconds.Observe(ev.Stage.String(), ev.Elapsed.Seconds())
 		j.events.append("stage", stagePayload(ev))
 	})
 	reports := make([]*snnmap.Report, 0, len(pts))
@@ -450,26 +436,29 @@ type Stats struct {
 	IdemReplays int64
 }
 
-// Snapshot returns the current Stats.
+// Snapshot returns the current Stats, read from the counters /metrics
+// renders.
 func (s *Server) Snapshot() Stats {
 	m := s.metrics
-	m.mu.Lock()
-	st := Stats{
-		CacheHits:   m.cacheHits,
-		CacheMisses: m.cacheMisses,
-		PoolHits:    m.poolHits,
-		PoolMisses:  m.poolMisses,
-		PeerHits:    m.peerHits,
-		PeerMisses:  m.peerMisses,
-		PeerServes:  m.peerServes,
-		Executed:    m.executed,
-		Shed:        m.shed,
-		Batches:     m.batches,
-		IdemReplays: m.idemReplays,
+	return Stats{
+		CacheHits:    m.cacheHits.Value(),
+		CacheMisses:  m.cacheMisses.Value(),
+		CacheEntries: s.cache.len(),
+		PoolHits:     m.poolHits.Value(),
+		PoolMisses:   m.poolMisses.Value(),
+		PoolEntries:  s.pool.len(),
+		PoolBuilds:   s.pool.builds.Load(),
+		PeerHits:     m.peerHits.Value(),
+		PeerMisses:   m.peerMisses.Value(),
+		PeerServes:   m.peerServes.Value(),
+		Executed:     m.executed.Value(),
+		Shed:         m.shed.Value(),
+		Batches:      m.batches.Value(),
+		IdemReplays:  m.idemReplays.Value(),
 	}
-	m.mu.Unlock()
-	st.CacheEntries = s.cache.len()
-	st.PoolEntries = s.pool.len()
-	st.PoolBuilds = s.pool.builds.Load()
-	return st
 }
+
+// Metrics is the registry behind GET /metrics. Co-located subsystems
+// (the fleet's join-time cache warmer) declare their families on it, so
+// they ride the worker's exposition.
+func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }

@@ -99,7 +99,7 @@ func waitRunning(t *testing.T, h http.Handler, id string) {
 		if cur.State == JobRunning {
 			return
 		}
-		if cur.State.terminal() {
+		if cur.State.Terminal() {
 			t.Skipf("job finished (%s) before it could be observed running", cur.State)
 		}
 		if time.Now().After(deadline) {
@@ -150,7 +150,7 @@ func waitTerminal(t *testing.T, h http.Handler, id string) JobStatus {
 			t.Fatalf("status = %d %s", rec.Code, rec.Body.String())
 		}
 		st := decodeStatus(t, rec)
-		if st.State.terminal() {
+		if st.State.Terminal() {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -332,7 +332,7 @@ func TestCancelRunningJob(t *testing.T) {
 		if cur.State == JobRunning {
 			break
 		}
-		if cur.State.terminal() {
+		if cur.State.Terminal() {
 			t.Skipf("job finished (%s) before the cancel could land", cur.State)
 		}
 		if time.Now().After(deadline) {

@@ -131,9 +131,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.tracer == nil || j.trace == nil {
-		writeError(w, http.StatusNotFound, "no trace recorded for job %s (tracing disabled)", j.id)
+		WriteError(w, http.StatusNotFound, "no trace recorded for job %s (tracing disabled)", j.id)
 		return
 	}
 	tid := j.trace.traceID()
-	writeJSON(w, http.StatusOK, obs.BuildTree(tid.String(), s.tracer.Nodes(tid)))
+	WriteJSON(w, http.StatusOK, obs.BuildTree(tid.String(), s.tracer.Nodes(tid)))
 }
