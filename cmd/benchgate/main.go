@@ -7,11 +7,12 @@
 // schema is used for the benchmark records committed to the repo
 // (BENCH_PR10.json), so artifacts and records stay diffable.
 //
-//	go test -run='^$' -bench=. -benchtime=3x . | benchgate parse -out bench.json -note "CI runner"
+//	go test -run='^$' -bench=. -benchtime=3x -benchmem . | benchgate parse -out bench.json -note "CI runner"
 //	benchgate compare -base base.json -head head.json -threshold 0.20
 //
 // compare exits 1 (after printing every offending benchmark) if any
-// benchmark present in both artifacts slowed down by more than the
+// benchmark present in both artifacts slowed down, or (when both sides
+// were run with -benchmem) raised its allocs/op, by more than the
 // threshold; benchmarks present on only one side are reported but never
 // fatal, so adding or retiring benchmarks cannot wedge the gate.
 package main
@@ -183,7 +184,7 @@ func runCompare(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchgate compare", flag.ContinueOnError)
 	basePath := fs.String("base", "", "baseline JSON artifact (required)")
 	headPath := fs.String("head", "", "candidate JSON artifact (required)")
-	threshold := fs.Float64("threshold", 0.20, "maximum tolerated ns/op regression, as a fraction")
+	threshold := fs.Float64("threshold", 0.20, "maximum tolerated ns/op and allocs/op regression, as a fraction")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -201,7 +202,7 @@ func runCompare(args []string, stdout io.Writer) error {
 
 	regressions := writeDeltaTable(stdout, base, head, *threshold)
 	if len(regressions) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%%: %s",
+		return fmt.Errorf("%d regression(s) beyond %.0f%%: %s",
 			len(regressions), *threshold*100, strings.Join(regressions, ", "))
 	}
 	fmt.Fprintf(stdout, "gate passed: no benchmark regressed more than %.0f%%\n", *threshold*100)
@@ -212,7 +213,9 @@ func runCompare(args []string, stdout io.Writer) error {
 // pass or fail — so every CI log carries the reviewable benchmark
 // trajectory, not just the offenders. Rows are sorted by name (GONE
 // rows last), the header makes the columns greppable, and the summary
-// line counts every verdict. Returns the regressed benchmark names.
+// line counts every verdict. B/op and allocs/op show "-" where a side
+// ran without -benchmem. Returns the regressed benchmarks, each tagged
+// with the metric that regressed.
 func writeDeltaTable(stdout io.Writer, base, head *Artifact, threshold float64) []string {
 	names := make([]string, 0, len(head.Benchmarks))
 	for name := range head.Benchmarks {
@@ -227,15 +230,17 @@ func writeDeltaTable(stdout io.Writer, base, head *Artifact, threshold float64) 
 	}
 	sort.Strings(gone)
 
-	fmt.Fprintf(stdout, "%-9s %-60s %14s  %14s  %8s\n",
-		"VERDICT", "BENCHMARK", "BASE ns/op", "HEAD ns/op", "DELTA")
+	const row = "%-9s %-60s %14s  %14s  %8s  %12s  %12s  %10s  %10s\n"
+	fmt.Fprintf(stdout, row, "VERDICT", "BENCHMARK", "BASE ns/op", "HEAD ns/op", "DELTA",
+		"BASE B/op", "HEAD B/op", "BASE allocs", "HEAD allocs")
 	var regressions []string
-	var okCount, newCount int
+	var okCount, badCount, newCount int
 	for _, name := range names {
 		h := head.Benchmarks[name]
 		b, present := base.Benchmarks[name]
 		if !present {
-			fmt.Fprintf(stdout, "%-9s %-60s %14s  %14.0f  %8s\n", "NEW", name, "-", h.NsPerOp, "-")
+			fmt.Fprintf(stdout, row, "NEW", name, "-", num(h.NsPerOp, true), "-",
+				"-", metric(h, "B/op"), "-", metric(h, "allocs/op"))
 			newCount++
 			continue
 		}
@@ -243,20 +248,44 @@ func writeDeltaTable(stdout io.Writer, base, head *Artifact, threshold float64) 
 		verdict := "ok"
 		if delta > threshold {
 			verdict = "REGRESSED"
-			regressions = append(regressions, name)
-		} else {
-			okCount++
+			regressions = append(regressions, name+" (ns/op)")
 		}
-		fmt.Fprintf(stdout, "%-9s %-60s %14.0f  %14.0f  %+7.1f%%\n",
-			verdict, name, b.NsPerOp, h.NsPerOp, delta*100)
+		ba, bok := b.Metrics["allocs/op"]
+		ha, hok := h.Metrics["allocs/op"]
+		if bok && hok && ha > ba && (ba == 0 || (ha-ba)/ba > threshold) {
+			verdict = "REGRESSED"
+			regressions = append(regressions, name+" (allocs/op)")
+		}
+		if verdict == "ok" {
+			okCount++
+		} else {
+			badCount++
+		}
+		fmt.Fprintf(stdout, row, verdict, name, num(b.NsPerOp, true), num(h.NsPerOp, true),
+			fmt.Sprintf("%+7.1f%%", delta*100),
+			metric(b, "B/op"), metric(h, "B/op"), metric(b, "allocs/op"), metric(h, "allocs/op"))
 	}
 	for _, name := range gone {
-		fmt.Fprintf(stdout, "%-9s %-60s %14.0f  %14s  %8s\n",
-			"GONE", name, base.Benchmarks[name].NsPerOp, "-", "-")
+		b := base.Benchmarks[name]
+		fmt.Fprintf(stdout, row, "GONE", name, num(b.NsPerOp, true), "-", "-",
+			metric(b, "B/op"), "-", metric(b, "allocs/op"), "-")
 	}
 	fmt.Fprintf(stdout, "summary: %d compared (%d ok, %d regressed), %d new, %d gone; threshold %.0f%%\n",
-		okCount+len(regressions), okCount, len(regressions), newCount, len(gone), threshold*100)
+		okCount+badCount, okCount, badCount, newCount, len(gone), threshold*100)
 	return regressions
+}
+
+// metric formats one of an entry's custom metrics, "-" when absent.
+func metric(e Entry, unit string) string {
+	v, ok := e.Metrics[unit]
+	return num(v, ok)
+}
+
+func num(v float64, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	return strconv.FormatFloat(v, 'f', 0, 64)
 }
 
 func load(path string) (*Artifact, error) {

@@ -100,6 +100,61 @@ func TestCompareGate(t *testing.T) {
 	}
 }
 
+// writeMemArtifact fabricates a one-benchmark artifact measured with
+// -benchmem.
+func writeMemArtifact(t *testing.T, dir, name string, ns, bytes, allocs float64) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	art := fmt.Sprintf(`{"benchmarks":{"BenchmarkNoCReplay/mesh-8":{"iterations":3,"ns_per_op":%.0f,`+
+		`"metrics":{"B/op":%.0f,"allocs/op":%.0f}}}}`, ns, bytes, allocs)
+	if err := os.WriteFile(path, []byte(art), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCompareGatesAllocs pins the allocation gate: -benchmem columns are
+// printed for both sides, an allocs/op rise past the threshold fails even
+// when ns/op improves, and a side measured without -benchmem is never
+// gated on allocations.
+func TestCompareGatesAllocs(t *testing.T) {
+	dir := t.TempDir()
+	base := writeMemArtifact(t, dir, "base.json", 1000000, 4096, 100)
+
+	var out strings.Builder
+	fewer := writeMemArtifact(t, dir, "fewer.json", 1000000, 1024, 2)
+	if err := run([]string{"compare", "-base", base, "-head", fewer}, nil, &out); err != nil {
+		t.Fatalf("fewer allocations must pass: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"BASE B/op", "HEAD B/op", "BASE allocs", "HEAD allocs", "4096", "1024", "100", " 2\n"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("table missing %q:\n%s", want, out.String())
+		}
+	}
+
+	out.Reset()
+	within := writeMemArtifact(t, dir, "within.json", 1000000, 4096, 115)
+	if err := run([]string{"compare", "-base", base, "-head", within}, nil, &out); err != nil {
+		t.Fatalf("15%% more allocations must pass the 20%% gate: %v\n%s", err, out.String())
+	}
+
+	out.Reset()
+	more := writeMemArtifact(t, dir, "more.json", 500000, 4096, 130)
+	err := run([]string{"compare", "-base", base, "-head", more}, nil, &out)
+	if err == nil || !strings.Contains(err.Error(), "(allocs/op)") {
+		t.Fatalf("30%% more allocations must fail the gate, got %v:\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "REGRESSED") {
+		t.Fatalf("offender not printed:\n%s", out.String())
+	}
+
+	out.Reset()
+	noMem := writeArtifact(t, dir, "nomem.json", 1000000)
+	if err := run([]string{"compare", "-base", noMem, "-head", more}, nil, &out); err != nil {
+		t.Fatalf("a base without -benchmem must not gate allocations: %v\n%s", err, out.String())
+	}
+}
+
 func TestCompareReportsNewAndGone(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")

@@ -20,14 +20,9 @@ func TestForkedSimulatorsRaceFree(t *testing.T) {
 		cfg.Multicast = true
 
 		// Build the shared workload once: the Dst masks inside pkts are
-		// referenced concurrently by every replica (the simulator clones
-		// multicast masks at Run and never mutates injected ones).
-		loader, err := NewSimulator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		injectWorkload(t, loader, endpoints, 21)
-		pkts := append([]Packet(nil), loader.pending...)
+		// referenced concurrently by every replica (the simulator copies
+		// them into its own flights and never mutates injected ones).
+		pkts := workloadPackets(endpoints, 120, 21)
 
 		proto, err := NewSimulator(cfg)
 		if err != nil {

@@ -73,8 +73,15 @@ func (m Mask) ForEach(f func(i int)) {
 }
 
 // First returns the lowest marked endpoint, or -1 if the mask is empty.
-func (m Mask) First() int {
-	for wi, w := range m {
+func (m Mask) First() int { return m.next(0) }
+
+// next returns the lowest marked endpoint >= i, or -1 if there is none.
+func (m Mask) next(i int) int {
+	for wi := i / 64; wi < len(m); wi++ {
+		w := m[wi]
+		if wi == i/64 {
+			w &= ^uint64(0) << (uint(i) % 64)
+		}
 		if w != 0 {
 			return wi*64 + bits.TrailingZeros64(w)
 		}

@@ -66,6 +66,19 @@ func FuzzMaskWordOps(f *testing.F) {
 			t.Fatalf("IntersectInto = %v, want %v", inter, want)
 		}
 
+		for _, from := range []int{0, int(sizes), 63, 64, na - 1} {
+			want := -1
+			for i := from; i < na; i++ {
+				if a.Test(i) {
+					want = i
+					break
+				}
+			}
+			if got := a.next(from); got != want {
+				t.Fatalf("next(%d) = %d, Test scan = %d", from, got, want)
+			}
+		}
+
 		union := a.Clone()
 		union.OrInto(b)
 		wantU := a.Clone()

@@ -9,11 +9,32 @@ import (
 	"testing"
 )
 
+// refFlight is the seed's flight: the production core no longer numbers
+// its flights (a lazy per-endpoint merge replaced the global sort by id),
+// so the reference keeps its own copy of the numbered type.
+type refFlight struct {
+	id           int64
+	srcNeuron    int32
+	src          int
+	dst          Mask
+	createdMs    int64
+	createdCycle int64
+}
+
+// refArrival is a scheduled buffer insertion of a refFlight.
+type refArrival struct {
+	cycle  int64
+	router int
+	port   int
+	f      *refFlight
+	seq    int64
+}
+
 // arrivalHeap is the seed's priority queue over scheduled arrivals. The
 // production core replaced it with a FIFO ring (push order is already
 // (cycle, seq) order under the constant flit delay); the reference keeps
 // the heap to stay a verbatim copy.
-type arrivalHeap []arrival
+type arrivalHeap []refArrival
 
 func (h arrivalHeap) Len() int { return len(h) }
 func (h arrivalHeap) Less(i, j int) bool {
@@ -23,7 +44,7 @@ func (h arrivalHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(arrival)) }
+func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(refArrival)) }
 func (h *arrivalHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -41,7 +62,7 @@ type referenceSim struct {
 	cfg  Config
 	topo topology
 
-	buf      [][][]*flight
+	buf      [][][]*refFlight
 	reserved [][]int
 	rr       [][]int
 	linkFree [][]int64
@@ -75,12 +96,12 @@ func newReferenceSim(cfg Config) (*referenceSim, error) {
 	}
 	s := &referenceSim{cfg: cfg, topo: topo}
 	nr, np := topo.Routers(), topo.Ports()
-	s.buf = make([][][]*flight, nr)
+	s.buf = make([][][]*refFlight, nr)
 	s.reserved = make([][]int, nr)
 	s.rr = make([][]int, nr)
 	s.linkFree = make([][]int64, nr)
 	for r := 0; r < nr; r++ {
-		s.buf[r] = make([][]*flight, np)
+		s.buf[r] = make([][]*refFlight, np)
 		s.reserved[r] = make([]int, np)
 		s.rr[r] = make([]int, np)
 		s.linkFree[r] = make([]int64, np)
@@ -110,13 +131,13 @@ func (s *referenceSim) route(r, dst int) int { return int(s.routeTable[r][dst]) 
 
 func (s *referenceSim) inject(p Packet) { s.pending = append(s.pending, p) }
 
-// run is the seed Simulator.Run, verbatim up to receiver renaming.
+// run is the seed Simulator.Run, verbatim up to receiver and type renaming.
 func (s *referenceSim) run() (*Result, error) {
-	queue := make([]*flight, 0, len(s.pending))
+	queue := make([]*refFlight, 0, len(s.pending))
 	for _, p := range s.pending {
 		cc := p.CreatedMs * s.cfg.CyclesPerMs
 		if s.cfg.Multicast {
-			queue = append(queue, &flight{
+			queue = append(queue, &refFlight{
 				id: s.nextID, srcNeuron: p.SrcNeuron, src: p.Src,
 				dst: p.Dst.Clone(), createdMs: p.CreatedMs, createdCycle: cc,
 			})
@@ -125,7 +146,7 @@ func (s *referenceSim) run() (*Result, error) {
 			p.Dst.ForEach(func(d int) {
 				m := NewMask(s.cfg.Endpoints)
 				m.Set(d)
-				queue = append(queue, &flight{
+				queue = append(queue, &refFlight{
 					id: s.nextID, srcNeuron: p.SrcNeuron, src: p.Src,
 					dst: m, createdMs: p.CreatedMs, createdCycle: cc,
 				})
@@ -139,7 +160,7 @@ func (s *referenceSim) run() (*Result, error) {
 		}
 		return queue[i].id < queue[j].id
 	})
-	ni := make([][]*flight, s.cfg.Endpoints)
+	ni := make([][]*refFlight, s.cfg.Endpoints)
 	for _, f := range queue {
 		ni[f.src] = append(ni[f.src], f)
 	}
@@ -175,7 +196,7 @@ func (s *referenceSim) run() (*Result, error) {
 		progressed := false
 
 		for len(s.arrivals) > 0 && s.arrivals[0].cycle <= now {
-			a := heap.Pop(&s.arrivals).(arrival)
+			a := heap.Pop(&s.arrivals).(refArrival)
 			s.buf[a.router][a.port] = append(s.buf[a.router][a.port], a.f)
 			s.reserved[a.router][a.port]--
 			s.buffered[a.router]++
@@ -241,7 +262,7 @@ func (s *referenceSim) run() (*Result, error) {
 					if len(s.buf[nr][np])+s.reserved[nr][np] >= s.cfg.BufferDepth {
 						continue
 					}
-					var sub *flight
+					var sub *refFlight
 					if all {
 						sub = f
 						s.buf[r][in] = q[1:]
@@ -258,7 +279,7 @@ func (s *referenceSim) run() (*Result, error) {
 					s.reserved[nr][np]++
 					inFlight++
 					s.nextSeq++
-					heap.Push(&s.arrivals, arrival{
+					heap.Push(&s.arrivals, refArrival{
 						cycle: now + int64(s.cfg.PacketFlits), router: nr, port: np,
 						f: sub, seq: s.nextSeq,
 					})
@@ -305,7 +326,7 @@ func (s *referenceSim) run() (*Result, error) {
 }
 
 // portsFor is the seed's per-destination ForEach routing query.
-func (s *referenceSim) portsFor(r int, f *flight, p int) (wants, all bool) {
+func (s *referenceSim) portsFor(r int, f *refFlight, p int) (wants, all bool) {
 	all = true
 	f.dst.ForEach(func(d int) {
 		if s.route(r, d) == p {
@@ -318,7 +339,7 @@ func (s *referenceSim) portsFor(r int, f *flight, p int) (wants, all bool) {
 }
 
 // splitForPort is the seed's allocating multicast fork.
-func (s *referenceSim) splitForPort(r int, f *flight, p int) *flight {
+func (s *referenceSim) splitForPort(r int, f *refFlight, p int) *refFlight {
 	m := NewMask(s.cfg.Endpoints)
 	f.dst.ForEach(func(d int) {
 		if s.route(r, d) == p {
@@ -327,13 +348,13 @@ func (s *referenceSim) splitForPort(r int, f *flight, p int) *flight {
 	})
 	f.dst.AndNot(m)
 	s.nextID++
-	return &flight{
+	return &refFlight{
 		id: s.nextID, srcNeuron: f.srcNeuron, src: f.src,
 		dst: m, createdMs: f.createdMs, createdCycle: f.createdCycle,
 	}
 }
 
-func (s *referenceSim) deliver(f *flight, ep int, now int64) {
+func (s *referenceSim) deliver(f *refFlight, ep int, now int64) {
 	s.result.Deliveries = append(s.result.Deliveries, Delivery{
 		SrcNeuron:    f.srcNeuron,
 		Src:          f.src,

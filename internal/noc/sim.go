@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Config parameterizes the interconnect simulator. The configurable
@@ -94,6 +93,25 @@ type Packet struct {
 	CreatedMs int64
 }
 
+// Source is the compact form of a spike train's traffic: every spike of
+// SrcNeuron at the times in SpikesMs sends Repeat identical packets from
+// Src to every crossbar in Dst. It stands for len(SpikesMs)·Repeat
+// packets, injected in spike, then repeat order (and, with multicast off,
+// one unicast per destination in ascending order), exactly as if each had
+// been passed to Inject in that order.
+type Source struct {
+	SrcNeuron int32
+	Src       int
+	Dst       Mask
+	// SpikesMs are the spike times in SNN milliseconds, ascending. The
+	// simulator reads but never modifies them (nor Dst), so one immutable
+	// spike train may back many sources and concurrent replays.
+	SpikesMs []int64
+	// Repeat is the number of packets per spike (the synapse
+	// multiplicity under per-synapse AER); at least 1.
+	Repeat int
+}
+
 // Delivery records one packet arrival at one destination crossbar.
 type Delivery struct {
 	SrcNeuron    int32
@@ -139,7 +157,6 @@ const cancelCheckEvery = 1024
 // by this flight. Flights are pooled on the simulator's free-list so the
 // hot loop does not allocate per split.
 type flight struct {
-	id           int64
 	srcNeuron    int32
 	src          int
 	dst          Mask
@@ -237,14 +254,19 @@ func (f *fifo) pop() *flight {
 	return x
 }
 
-// Simulator is a single-shot interconnect simulation: construct, inject the
-// full spike trace, then Run. Create with NewSimulator.
+// Simulator is a single-shot interconnect simulation: construct, add the
+// traffic as spike sources (AddSource, or Inject for single packets), then
+// Run; Reset makes it reusable. Create with NewSimulator.
 //
-// The replay core is event-driven in the Noxim tradition: routers are
-// visited only while they hold buffered packets (an active-router
-// worklist), idle stretches are skipped by jumping to the next event time
-// (earliest of link arrivals, link-free expirations and pending
-// injections), and routing decisions are word-level mask operations
+// Injection streams: each endpoint's network interface is a lazy merge of
+// its sources — a binary min-heap keyed by (next spike cycle, source
+// index) — and a flight is built only when a packet enters the local
+// input FIFO, so replay memory is O(sources + packets in flight), not
+// O(packets). The replay core is event-driven in the Noxim tradition:
+// routers are visited only while they hold buffered packets (an
+// active-router worklist), idle stretches are skipped by jumping to the
+// next event time (earliest of link arrivals, link-free expirations and
+// due injections), and routing decisions are word-level mask operations
 // against per-router, per-port destination masks instead of per-endpoint
 // scans, memoized per FIFO head so arbitration touches only ports with an
 // actual candidate. The observable behavior — statistics, delivery trace
@@ -276,9 +298,15 @@ type Simulator struct {
 	portWanted [][]uint64
 	wide       bool
 
-	pending   []Packet // injection requests, sorted at Run
+	// sources holds the traffic in AddSource order, each with its
+	// injection cursor; ni[ep] is endpoint ep's NI queue over them.
+	// injectTimes backs the one-spike sources Inject adds. All three keep
+	// their capacity across Reset.
+	sources     []source
+	ni          []niHeap
+	injectTimes []int64
+
 	arrivals  arrivalQueue
-	nextID    int64
 	nextSeq   int64
 	result    Result
 	endpointR []int // endpoint -> router
@@ -316,7 +344,7 @@ type Simulator struct {
 	ctx context.Context
 
 	// ran guards against state corruption from Run-after-Run or
-	// Inject-after-Run without an intervening Reset.
+	// AddSource-after-Run without an intervening Reset.
 	ran bool
 }
 
@@ -410,6 +438,7 @@ func (s *Simulator) allocMutableState() {
 	}
 	s.buffered = make([]int, nr)
 	s.active = NewMask(nr)
+	s.ni = make([]niHeap, s.cfg.Endpoints)
 }
 
 // Fork returns a fresh simulator sharing this simulator's immutable parts
@@ -461,9 +490,13 @@ func (s *Simulator) Reset() {
 	for i := range s.active {
 		s.active[i] = 0
 	}
-	s.pending = s.pending[:0]
+	clear(s.sources) // drop references to the callers' spike trains and masks
+	s.sources = s.sources[:0]
+	for ep := range s.ni {
+		s.ni[ep] = s.ni[ep][:0]
+	}
+	s.injectTimes = s.injectTimes[:0]
 	s.arrivals.reset()
-	s.nextID = 0
 	s.nextSeq = 0
 	s.result = Result{}
 	s.sink = nil
@@ -498,7 +531,7 @@ func (s *Simulator) SetContext(ctx context.Context) { s.ctx = ctx }
 func (s *Simulator) SetDeliverySink(fn func(Delivery)) { s.sink = fn }
 
 // allocFlight draws a flight from the free-list (or allocates one) with
-// the given identity and an empty destination mask.
+// the given origin and an empty destination mask.
 func (s *Simulator) allocFlight(srcNeuron int32, src int, createdMs, createdCycle int64) *flight {
 	var f *flight
 	if n := len(s.free); n > 0 {
@@ -510,8 +543,6 @@ func (s *Simulator) allocFlight(srcNeuron int32, src int, createdMs, createdCycl
 	} else {
 		f = &flight{dst: NewMask(s.cfg.Endpoints)}
 	}
-	f.id = s.nextID
-	s.nextID++
 	f.srcNeuron = srcNeuron
 	f.src = src
 	f.createdMs = createdMs
@@ -553,33 +584,136 @@ func (s *Simulator) updateHeadWants(r, in int) {
 	}
 }
 
-// Inject queues a spike packet for transmission. The destination mask must
-// not include the source and must address valid endpoints. Injecting after
-// Run is an error; Reset the simulator first.
+// Inject queues one spike packet for transmission: a one-spike Source.
+// The destination mask must not include the source and must address valid
+// endpoints. Injecting after Run is an error; Reset the simulator first.
 func (s *Simulator) Inject(p Packet) error {
+	// The spike time lives in a simulator-owned buffer that Reset keeps,
+	// so a warm Inject does not allocate.
+	s.injectTimes = append(s.injectTimes, p.CreatedMs)
+	k := len(s.injectTimes)
+	err := s.AddSource(Source{SrcNeuron: p.SrcNeuron, Src: p.Src, Dst: p.Dst, SpikesMs: s.injectTimes[k-1 : k], Repeat: 1})
+	if err != nil {
+		s.injectTimes = s.injectTimes[:k-1]
+	}
+	return err
+}
+
+// AddSource queues a source's packets for transmission. Its spike times
+// must be non-negative and ascending, Repeat at least 1, and its
+// destination mask non-empty, within range and without the source. A
+// source without spikes adds nothing. The simulator keeps src.SpikesMs and
+// src.Dst (without copying) until Reset. Adding after Run is an error;
+// Reset the simulator first.
+func (s *Simulator) AddSource(src Source) error {
 	if s.ran {
-		return errors.New("noc: Inject after Run would corrupt the next replay; call Reset first")
+		return errors.New("noc: AddSource after Run would corrupt the next replay; call Reset first")
 	}
-	if p.Src < 0 || p.Src >= s.cfg.Endpoints {
-		return fmt.Errorf("noc: source endpoint %d out of range", p.Src)
+	if src.Src < 0 || src.Src >= s.cfg.Endpoints {
+		return fmt.Errorf("noc: source endpoint %d out of range", src.Src)
 	}
-	if p.Dst.Empty() {
-		return errors.New("noc: packet with empty destination mask")
+	if src.Dst.Empty() {
+		return errors.New("noc: source with empty destination mask")
 	}
 	bad := -1
-	p.Dst.ForEach(func(i int) {
-		if i >= s.cfg.Endpoints || i == p.Src {
+	src.Dst.ForEach(func(i int) {
+		if i >= s.cfg.Endpoints || i == src.Src {
 			bad = i
 		}
 	})
 	if bad >= 0 {
-		return fmt.Errorf("noc: invalid destination %d for source %d", bad, p.Src)
+		return fmt.Errorf("noc: invalid destination %d for source %d", bad, src.Src)
 	}
-	if p.CreatedMs < 0 {
-		return errors.New("noc: negative creation time")
+	if src.Repeat < 1 {
+		return fmt.Errorf("noc: source repeat %d < 1", src.Repeat)
 	}
-	s.pending = append(s.pending, p)
+	for k, t := range src.SpikesMs {
+		if t < 0 {
+			return errors.New("noc: negative creation time")
+		}
+		if k > 0 && t < src.SpikesMs[k-1] {
+			return fmt.Errorf("noc: spike times not ascending at index %d", k)
+		}
+	}
+	if len(src.SpikesMs) > 0 {
+		s.sources = append(s.sources, source{Source: src, dst: src.Dst.First()})
+	}
 	return nil
+}
+
+// source is a queued Source with its injection cursor: the next packet
+// to inject is repeat rep of spike SpikesMs[spike] (to unicast
+// destination dst when multicast is off).
+type source struct {
+	Source
+	spike, rep, dst int
+}
+
+// niEntry is a source in its endpoint's NI queue, keyed by the cycle of
+// its next spike; the source index breaks ties, so the merge injects in
+// (creation cycle, AddSource order) order.
+type niEntry struct {
+	cycle int64
+	src   int
+}
+
+// niHeap is one endpoint's NI queue: a binary min-heap of niEntry.
+type niHeap []niEntry
+
+func (h niHeap) less(i, j int) bool {
+	return h[i].cycle < h[j].cycle || (h[i].cycle == h[j].cycle && h[i].src < h[j].src)
+}
+
+// down restores the heap order below i after h[i]'s key grew (or h[i]
+// was replaced by the last entry).
+func (h niHeap) down(i int) {
+	for {
+		least, l := i, 2*i+1
+		if l < len(h) && h.less(l, least) {
+			least = l
+		}
+		if r := l + 1; r < len(h) && h.less(r, least) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// nextFlight builds the flight for the packet at the top of endpoint ep's
+// NI queue and advances that source's cursor: unicast destination first,
+// then repeat, then spike. Only a spike advance changes the source's key.
+func (s *Simulator) nextFlight(ep int) *flight {
+	h := &s.ni[ep]
+	top := &(*h)[0]
+	src := &s.sources[top.src]
+	f := s.allocFlight(src.SrcNeuron, src.Src, src.SpikesMs[src.spike], top.cycle)
+	if s.cfg.Multicast {
+		copy(f.dst, src.Dst)
+	} else {
+		f.dst.Set(src.dst)
+		if d := src.Dst.next(src.dst + 1); d >= 0 {
+			src.dst = d
+			return f
+		}
+		src.dst = src.Dst.First()
+	}
+	if src.rep++; src.rep < src.Repeat {
+		return f
+	}
+	src.rep = 0
+	if src.spike++; src.spike < len(src.SpikesMs) {
+		top.cycle = src.SpikesMs[src.spike] * s.cfg.CyclesPerMs
+	} else {
+		last := len(*h) - 1
+		(*h)[0] = (*h)[last]
+		*h = (*h)[:last]
+	}
+	h.down(0)
+	return f
 }
 
 // Run executes the simulation to completion and returns the aggregate
@@ -600,22 +734,30 @@ func (s *Simulator) Run() (*Result, error) {
 	}
 	var iter uint
 
-	// Expand to unicast if multicast is disabled, then order by creation.
-	// Every flight carries the exact set of destinations still to serve,
-	// so the total delivery count is known up front and the trace buffer
-	// is allocated once at its final size.
-	queue, totalDst := s.buildInjection()
-	// Per-endpoint NI queues preserving creation order.
+	// Queue every source on its endpoint's NI heap. The packet count and
+	// the total delivery count (each flight serves exactly its
+	// destinations) follow from the sources, so the trace buffer is
+	// allocated once at its final size.
 	endpoints := s.cfg.Endpoints
-	ni := make([][]*flight, endpoints)
-	for _, f := range queue {
-		ni[f.src] = append(ni[f.src], f)
+	var remaining, totalDst int64
+	for i := range s.sources {
+		src := &s.sources[i]
+		s.ni[src.Src] = append(s.ni[src.Src], niEntry{cycle: src.SpikesMs[0] * s.cfg.CyclesPerMs, src: i})
+		packets, dsts := int64(len(src.SpikesMs)*src.Repeat), int64(src.Dst.Count())
+		totalDst += packets * dsts
+		if !s.cfg.Multicast {
+			packets *= dsts // one unicast flight per destination
+		}
+		remaining += packets
 	}
-	niHead := make([]int, endpoints)
-	remaining := int64(len(queue))
+	for _, h := range s.ni {
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			h.down(i)
+		}
+	}
 	inFlight := int64(0)
 
-	s.result.Stats.Injected = int64(len(queue))
+	s.result.Stats.Injected = remaining
 	if s.sink == nil && totalDst > 0 {
 		s.result.Deliveries = make([]Delivery, 0, totalDst)
 	}
@@ -629,9 +771,9 @@ func (s *Simulator) Run() (*Result, error) {
 
 	nextInjection := func() int64 {
 		next := int64(-1)
-		for ep := 0; ep < endpoints; ep++ {
-			if niHead[ep] < len(ni[ep]) {
-				c := ni[ep][niHead[ep]].createdCycle
+		for _, h := range s.ni {
+			if len(h) > 0 {
+				c := h[0].cycle
 				if next < 0 || c < next {
 					next = c
 				}
@@ -677,8 +819,7 @@ func (s *Simulator) Run() (*Result, error) {
 		// input port, respecting buffer depth.
 		if remaining > 0 {
 			for ep := 0; ep < endpoints; ep++ {
-				h := niHead[ep]
-				if h >= len(ni[ep]) || ni[ep][h].createdCycle > now {
+				if h := s.ni[ep]; len(h) == 0 || h[0].cycle > now {
 					continue
 				}
 				r := s.endpointR[ep]
@@ -686,13 +827,12 @@ func (s *Simulator) Run() (*Result, error) {
 				if int(q.n)+s.reserved[r][localPort] >= depth {
 					continue
 				}
-				q.push(ni[ep][h])
+				q.push(s.nextFlight(ep))
 				s.buffered[r]++
 				s.active.Set(r)
 				if q.n == 1 {
 					s.updateHeadWants(r, localPort)
 				}
-				niHead[ep]++
 				remaining--
 				inFlight++
 				progressed = true
@@ -880,9 +1020,9 @@ func (s *Simulator) Run() (*Result, error) {
 			}
 		}
 		if remaining > 0 {
-			for ep := 0; ep < endpoints; ep++ {
-				if h := niHead[ep]; h < len(ni[ep]) {
-					if c := ni[ep][h].createdCycle; c > now && (next < 0 || c < next) {
+			for _, h := range s.ni {
+				if len(h) > 0 {
+					if c := h[0].cycle; c > now && (next < 0 || c < next) {
 						next = c
 					}
 				}
@@ -908,37 +1048,6 @@ func (s *Simulator) Run() (*Result, error) {
 	// stays owned by the caller.
 	res := s.result
 	return &res, nil
-}
-
-// buildInjection expands the pending packets into their initial flights
-// (unicast expansion when multicast is off), ordered by creation cycle
-// with injection order as the tie-break.
-func (s *Simulator) buildInjection() (queue []*flight, totalDst int) {
-	queue = make([]*flight, 0, len(s.pending))
-	for i := range s.pending {
-		p := &s.pending[i]
-		cc := p.CreatedMs * s.cfg.CyclesPerMs
-		if s.cfg.Multicast {
-			f := s.allocFlight(p.SrcNeuron, p.Src, p.CreatedMs, cc)
-			copy(f.dst, p.Dst)
-			totalDst += f.dst.Count()
-			queue = append(queue, f)
-		} else {
-			p.Dst.ForEach(func(d int) {
-				f := s.allocFlight(p.SrcNeuron, p.Src, p.CreatedMs, cc)
-				f.dst.Set(d)
-				totalDst++
-				queue = append(queue, f)
-			})
-		}
-	}
-	sort.SliceStable(queue, func(i, j int) bool {
-		if queue[i].createdCycle != queue[j].createdCycle {
-			return queue[i].createdCycle < queue[j].createdCycle
-		}
-		return queue[i].id < queue[j].id
-	})
-	return queue, totalDst
 }
 
 func (s *Simulator) stallError(outstanding int64) error {

@@ -236,17 +236,17 @@ func (p *Problem) TrafficMatrix(a Assignment) [][]int64 {
 	return m
 }
 
-// GlobalSynapses returns the synapses mapped onto the interconnect under
-// the assignment (pre and post on different crossbars); the complement is
-// the set of local synapses.
-func (p *Problem) GlobalSynapses(a Assignment) []graph.Synapse {
-	var out []graph.Synapse
+// GlobalSynapseCount counts the synapses mapped onto the interconnect
+// under the assignment (pre and post on different crossbars); the
+// complement is the number of local synapses.
+func (p *Problem) GlobalSynapseCount(a Assignment) int {
+	n := 0
 	for _, s := range p.Graph.Synapses {
 		if a[s.Pre] != a[s.Post] {
-			out = append(out, s)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // Partitioner produces a feasible assignment for a problem instance.

@@ -177,22 +177,23 @@ func TestGlobalSynapsesComplement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := randomFeasible(p, rng)
-	global := p.GlobalSynapses(a)
-	for _, s := range global {
-		if a[s.Pre] == a[s.Post] {
-			t.Fatal("global synapse does not cross crossbars")
+	for trial := 0; trial < 20; trial++ {
+		a := randomFeasible(p, rng)
+		global, local := 0, 0
+		for _, s := range g.Synapses {
+			if a[s.Pre] != a[s.Post] {
+				global++
+			} else {
+				local++
+			}
 		}
-	}
-	local := len(g.Synapses) - len(global)
-	count := 0
-	for _, s := range g.Synapses {
-		if a[s.Pre] == a[s.Post] {
-			count++
+		got := p.GlobalSynapseCount(a)
+		if got != global {
+			t.Fatalf("trial %d: GlobalSynapseCount = %d, brute force %d", trial, got, global)
 		}
-	}
-	if count != local {
-		t.Fatalf("local count %d != complement %d", count, local)
+		if len(g.Synapses)-got != local {
+			t.Fatalf("trial %d: complement %d != local count %d", trial, len(g.Synapses)-got, local)
+		}
 	}
 }
 

@@ -362,7 +362,7 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 		Assignment:    placed,
 		GlobalTraffic: res.Cost,
 	}
-	rep.GlobalSynapseCount = len(pl.problem.GlobalSynapses(placed))
+	rep.GlobalSynapseCount = pl.problem.GlobalSynapseCount(placed)
 	rep.LocalSynapseCount = rep.Synapses - rep.GlobalSynapseCount
 
 	local, err := hardware.LocalActivityCounts(pl.app.Graph, pl.counts, placed, pl.arch)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -280,5 +281,57 @@ func TestPipelineStreamingMatchesTrace(t *testing.T) {
 					mode, pt.Name(), got, want)
 			}
 		}
+	}
+}
+
+// TestPipelineRunAllocBudgetWarm is the warm replay's allocation
+// contract: once a session is built, a Pipeline.Run of greedy on a
+// 512-neuron modular app over the tree interconnect allocates a small,
+// traffic-independent amount — no packet list, no up-front flights, no
+// global-synapse list. Both budgets are the measured value plus slack
+// for the runtime (a sync.Pool miss after a GC re-forks a simulator).
+func TestPipelineRunAllocBudgetWarm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets are measured in the full suite")
+	}
+	app, err := BuildApp("gen:modular:n=512", AppConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := NewArch("tree", app.Graph, ArchSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := NewPipeline(app, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := pl.Run(context.Background(), GreedyPartitioner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the simulator pool and the session's lazy state
+	// Collect now so a GC inside the measured runs (which could empty the
+	// simulator pool) is unlikely.
+	runtime.GC()
+	run()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("warm Pipeline.Run: %.0f allocs, %.0f bytes per run", allocs, bytesPerRun)
+	// Measured on linux/amd64, go1.24: 52 allocs and 96,418 bytes per run.
+	const maxAllocs, maxBytes = 64, 128 << 10
+	if allocs > maxAllocs {
+		t.Errorf("warm Pipeline.Run allocates %.0f objects per run, budget %d", allocs, maxAllocs)
+	}
+	if bytesPerRun > maxBytes {
+		t.Errorf("warm Pipeline.Run allocates %.0f bytes per run, budget %d", bytesPerRun, maxBytes)
 	}
 }

@@ -203,7 +203,8 @@ func simulateTrafficOn(sim *noc.Simulator, g *SpikeGraph, assign Assignment, arc
 
 // trafficScratch is the reusable injection scratch behind
 // simulateTrafficOn: destination multiplicity, the touched-crossbar list,
-// and the single-crossbar destination-mask table. A zero value works
+// the single-crossbar destination-mask table and the word arena behind
+// multicast destination masks. A zero value works
 // (everything is sized on first use); a warm Pipeline seeds one scratch
 // per run — per sweep worker in RunSeeds — from a session-wide
 // prefilled singleton table so repeated replays allocate no injection
@@ -214,13 +215,14 @@ type trafficScratch struct {
 	multiplicity []int
 	touched      []int
 	singleton    []noc.Mask
+	maskWords    []uint64
 }
 
 // newSingletonTable prefills the single-crossbar destination masks so the
 // table is immutable afterwards and safe to share across concurrent runs.
-// Destination masks are never mutated by the simulator (multicast flights
-// clone them at Run), so one mask per destination serves every neuron,
-// spike, and run of a session.
+// Destination masks are never mutated by the simulator (flights copy
+// them), so one mask per destination serves every neuron, spike, and run
+// of a session.
 func newSingletonTable(crossbars int) []noc.Mask {
 	t := make([]noc.Mask, crossbars)
 	for k := range t {
@@ -231,11 +233,15 @@ func newSingletonTable(crossbars int) []noc.Mask {
 	return t
 }
 
-// injectAndRun packetizes the mapped graph's global traffic into sim and
-// replays it. Per spiking neuron the cost is O(out-degree): destination
-// multiplicity is tracked through a touched-crossbar list, so only the
-// entries a neuron actually wrote are cleared, instead of wiping the full
-// O(Crossbars) scratch slice every neuron.
+// injectAndRun turns the mapped graph's global traffic into simulator
+// sources and replays it: one source per (neuron, destination mask) under
+// multicast AER, one per (neuron, destination crossbar) otherwise, with
+// the synapse multiplicity as the repeat count under per-synapse AER.
+// Every source shares the neuron's immutable spike train g.Spikes[i]. Per
+// spiking neuron the cost is O(out-degree): destination multiplicity is
+// tracked through a touched-crossbar list, so only the entries a neuron
+// actually wrote are cleared, instead of wiping the full O(Crossbars)
+// scratch slice every neuron.
 func (sc *trafficScratch) injectAndRun(sim *noc.Simulator, g *SpikeGraph, assign Assignment, arch Arch) (*noc.Result, error) {
 	if len(assign) != g.Neurons {
 		return nil, fmt.Errorf("snnmap: assignment covers %d of %d neurons", len(assign), g.Neurons)
@@ -261,8 +267,14 @@ func (sc *trafficScratch) injectAndRun(sim *noc.Simulator, g *SpikeGraph, assign
 		}
 		return singleton[k]
 	}
+	// Multicast masks are carved from one arena: a mask must outlive the
+	// loop (the simulator reads it during Run), and an arena that outgrows
+	// its array leaves the masks already handed out on the old one.
+	words := len(singletonMask(0))
+	sc.maskWords = sc.maskWords[:0]
 	for i := 0; i < g.Neurons; i++ {
-		if len(g.Spikes[i]) == 0 {
+		spikes := g.Spikes[i]
+		if len(spikes) == 0 {
 			continue
 		}
 		src := assign[i]
@@ -282,36 +294,25 @@ func (sc *trafficScratch) injectAndRun(sim *noc.Simulator, g *SpikeGraph, assign
 		// therefore the cycle-level simulation) identical to the previous
 		// full-scan implementation.
 		sort.Ints(touched)
-		switch arch.AER {
-		case hardware.MulticastAER:
-			mask := noc.NewMask(arch.Crossbars)
+		source := noc.Source{SrcNeuron: int32(i), Src: src, SpikesMs: spikes, Repeat: 1}
+		if arch.AER == hardware.MulticastAER {
+			n := len(sc.maskWords)
+			sc.maskWords = append(sc.maskWords, make([]uint64, words)...)
+			source.Dst = noc.Mask(sc.maskWords[n : n+words : n+words])
 			for _, k := range touched {
-				mask.Set(k)
+				source.Dst.Set(k)
 			}
-			for _, t := range g.Spikes[i] {
-				if err := sim.Inject(noc.Packet{SrcNeuron: int32(i), Src: src, Dst: mask, CreatedMs: t}); err != nil {
+			if err := sim.AddSource(source); err != nil {
+				return nil, err
+			}
+		} else {
+			for _, k := range touched {
+				source.Dst = singletonMask(k)
+				if arch.AER != hardware.PerCrossbar {
+					source.Repeat = multiplicity[k] // PerSynapse
+				}
+				if err := sim.AddSource(source); err != nil {
 					return nil, err
-				}
-			}
-		case hardware.PerCrossbar:
-			for _, k := range touched {
-				mask := singletonMask(k)
-				for _, t := range g.Spikes[i] {
-					if err := sim.Inject(noc.Packet{SrcNeuron: int32(i), Src: src, Dst: mask, CreatedMs: t}); err != nil {
-						return nil, err
-					}
-				}
-			}
-		default: // PerSynapse
-			for _, k := range touched {
-				m := multiplicity[k]
-				mask := singletonMask(k)
-				for _, t := range g.Spikes[i] {
-					for rep := 0; rep < m; rep++ {
-						if err := sim.Inject(noc.Packet{SrcNeuron: int32(i), Src: src, Dst: mask, CreatedMs: t}); err != nil {
-							return nil, err
-						}
-					}
 				}
 			}
 		}
