@@ -510,6 +510,48 @@ func BenchmarkHyperCut(b *testing.B) {
 	}
 }
 
+// BenchmarkKLRefine measures the kl technique (greedy seed plus
+// Kernighan–Lin refinement) end to end on the two kl shapes of the
+// partition-heavy benchmark workload. Refine scores every candidate move
+// and swap in O(1) from the incremental affinity table; the per-op cost
+// (Eq. 7–8) of the final assignment is reported so quality regressions
+// surface next to time regressions.
+func BenchmarkKLRefine(b *testing.B) {
+	kl, err := NewPartitioner("kl", PartitionerSpec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shape := range []struct{ app, arch string }{
+		{"gen:sparserandom:n=2048,dur=100,rate=1-5", "tree"},
+		{"gen:modular:n=2048,dur=100,rate=1-5", "mesh"},
+	} {
+		b.Run(shape.app+"/"+shape.arch, func(b *testing.B) {
+			app, err := BuildApp(shape.app, AppConfig{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			arch, err := NewArch(shape.arch, app.Graph, ArchSpec{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := NewProblem(app.Graph, arch.Crossbars, arch.CrossbarSize)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var cost int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, err := kl.Partition(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cost = p.Cost(a)
+			}
+			b.ReportMetric(float64(cost), "cost")
+		})
+	}
+}
+
 // BenchmarkRemapVsResolve measures the incremental-remap API against a
 // from-scratch re-solve of the perturbed workload — the trade the remap
 // experiment quantifies across drift magnitudes. Both legs include the

@@ -1,8 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Greedy is a deterministic traffic-aware heuristic used as an ablation
@@ -36,31 +37,34 @@ func (Greedy) Partition(p *Problem) (Assignment, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool { return weight[order[x]] > weight[order[y]] })
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(weight[y], weight[x]) })
 
+	// gain[k] is the traffic to and from already-placed neighbors on k,
+	// scattered in one pass over the neuron's adjacency.
+	gain := make([]int64, p.Crossbars)
 	for _, i := range order {
+		ci := p.counts[i]
+		for _, s := range p.csr.Out(i) {
+			if k := a[s.Post]; k >= 0 {
+				gain[k] += ci
+			}
+		}
+		for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
+			if k := a[p.inCSR.pre[q]]; k >= 0 {
+				gain[k] += p.inCSR.w[q]
+			}
+		}
 		bestK, bestGain := -1, int64(0)
-		for k := 0; k < p.Crossbars; k++ {
+		for k, g := range gain {
 			if loads[k] >= p.CrossbarSize {
 				continue
 			}
-			// Affinity: traffic to/from already-placed neighbors on k.
-			var gain int64
-			for _, s := range p.csr.Out(i) {
-				if a[s.Post] == k {
-					gain += p.counts[i]
-				}
-			}
-			for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-				if a[p.inCSR.pre[q]] == k {
-					gain += p.inCSR.w[q]
-				}
-			}
 			// Prefer higher affinity; tie-break on lower load for balance.
-			if bestK < 0 || gain > bestGain || (gain == bestGain && loads[k] < loads[bestK]) {
-				bestK, bestGain = k, gain
+			if bestK < 0 || g > bestGain || (g == bestGain && loads[k] < loads[bestK]) {
+				bestK, bestGain = k, g
 			}
 		}
+		clear(gain)
 		if bestK < 0 {
 			return nil, fmt.Errorf("partition: greedy ran out of capacity at neuron %d", i)
 		}
@@ -102,10 +106,12 @@ func (k KLRefine) Partition(p *Problem) (Assignment, error) {
 // with spare capacity) and improving swaps with synaptic neighbors (which
 // work even at full capacity) until no change improves or maxPasses sweeps
 // have run. The assignment is modified in place; the return value is the
-// total cost reduction.
+// total cost reduction. Candidates are scored in O(1) each from the
+// incremental affinity table, so a sweep costs O(synapses + n·C).
 func Refine(p *Problem, a Assignment, maxPasses int) int64 {
 	loads := p.Loads(a)
-	var totalGain int64
+	s := newAffinity(p, a)
+	start := s.cost
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for i := 0; i < p.Graph.Neurons; i++ {
@@ -115,15 +121,14 @@ func Refine(p *Problem, a Assignment, maxPasses int) int64 {
 				if k == a[i] || loads[k] >= p.CrossbarSize {
 					continue
 				}
-				if d := p.CostDelta(a, i, k); d < bestDelta {
+				if d := s.moveDelta(i, k); d < bestDelta {
 					bestDelta, bestK = d, k
 				}
 			}
 			if bestK >= 0 {
 				loads[a[i]]--
-				a[i] = bestK
 				loads[bestK]++
-				totalGain -= bestDelta
+				s.move(i, bestK)
 				improved = true
 				continue
 			}
@@ -131,23 +136,26 @@ func Refine(p *Problem, a Assignment, maxPasses int) int64 {
 			// neighbors on other crossbars.
 			bestJ := -1
 			bestDelta = 0
+			s.gather(i)
 			consider := func(j int) {
 				if j == i || a[j] == a[i] {
 					return
 				}
-				if d := p.SwapDelta(a, i, j); d < bestDelta {
+				if d := s.swapDelta(i, j); d < bestDelta {
 					bestDelta, bestJ = d, j
 				}
 			}
-			for _, s := range p.csr.Out(i) {
-				consider(int(s.Post))
+			for _, syn := range p.csr.Out(i) {
+				consider(int(syn.Post))
 			}
 			for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
 				consider(int(p.inCSR.pre[q]))
 			}
+			s.release(i)
 			if bestJ >= 0 {
-				a[i], a[bestJ] = a[bestJ], a[i]
-				totalGain -= bestDelta
+				ki, kj := a[i], a[bestJ]
+				s.move(i, kj)
+				s.move(bestJ, ki)
 				improved = true
 			}
 		}
@@ -155,5 +163,5 @@ func Refine(p *Problem, a Assignment, maxPasses int) int64 {
 			break
 		}
 	}
-	return totalGain
+	return start - s.cost
 }

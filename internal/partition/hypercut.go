@@ -219,6 +219,42 @@ func (s *HyperState) MoveDelta(neuron, dst int) int64 {
 	return delta
 }
 
+// moveDeltas fills d[k] with MoveDelta(neuron, k) for every crossbar k in
+// one pass over the neuron's affected hyperedges. Each edge's pin row is
+// contiguous, so one scan of it scores every destination: dst gains w_e
+// where the row is empty, and the neuron's leaving costs w_e on every
+// destination when its m pins are src's only ones. d[src] is 0.
+func (s *HyperState) moveDeltas(neuron int, d []int64) {
+	src := s.a[neuron]
+	C := s.p.Crossbars
+	clear(d)
+	var leave int64
+	affected := func(e int, m int32) {
+		w := s.h.Weight[e]
+		if w == 0 || m == 0 {
+			return
+		}
+		row := s.pins[e*C : (e+1)*C]
+		for k, c := range row {
+			if c == 0 {
+				d[k] += w
+			}
+		}
+		if row[src] == m {
+			leave += w
+		}
+	}
+	affected(neuron, s.ownPins[neuron])
+	for q := s.inStart[neuron]; q < s.inStart[neuron+1]; q++ {
+		affected(int(s.inPre[q]), s.inMult[q])
+	}
+	for k := range d {
+		if k != src {
+			d[k] -= leave
+		}
+	}
+}
+
 // Move applies a single-neuron move, updating pin counts, connectivities
 // and the cut incrementally in O(affected hyperedges).
 func (s *HyperState) Move(neuron, dst int) {
@@ -253,10 +289,11 @@ func (s *HyperState) Move(neuron, dst int) {
 
 // HyperCut is the connectivity-cut FM/KL-style partitioner: a
 // traffic-aware greedy seed (Greedy) followed by passes of best
-// single-neuron moves under the capacity constraint, each evaluated in
-// O(affected hyperedges) through HyperState. It is deterministic — no
-// stochastic component, so like the other deterministic techniques it
-// intentionally does not implement Seeded.
+// single-neuron moves under the capacity constraint. Each step scores
+// every crossbar in one pass over the neuron's affected hyperedges
+// (HyperState.moveDeltas) and applies the move in O(affected hyperedges).
+// It is deterministic — no stochastic component, so like the other
+// deterministic techniques it intentionally does not implement Seeded.
 type HyperCut struct {
 	// MaxPasses bounds the number of full improvement sweeps
 	// (default 16); each pass stops early once no move improves.
@@ -282,17 +319,19 @@ func (h HyperCut) Partition(p *Problem) (Assignment, error) {
 	}
 	n := p.Graph.Neurons
 	loads := p.Loads(s.a)
+	delta := make([]int64, p.Crossbars)
 	for pass := 0; pass < passes; pass++ {
 		improved := false
 		for i := 0; i < n; i++ {
+			s.moveDeltas(i, delta)
 			bestK, bestDelta := -1, int64(0)
-			for k := 0; k < p.Crossbars; k++ {
+			for k, d := range delta {
 				if k == s.a[i] || loads[k] >= p.CrossbarSize {
 					continue
 				}
 				// Strict improvement only, lowest crossbar on ties —
 				// keeps the sweep deterministic and terminating.
-				if d := s.MoveDelta(i, k); d < bestDelta {
+				if d < bestDelta {
 					bestDelta, bestK = d, k
 				}
 			}

@@ -74,6 +74,7 @@ func TestHyperStateMatchesOracle(t *testing.T) {
 			t.Fatalf("trial %d: initial cut %d, oracle %d", trial, got, want)
 		}
 		cur := a.Clone()
+		deltas := make([]int64, c)
 		for move := 0; move < 60; move++ {
 			i := rng.Intn(n)
 			dst := rng.Intn(c)
@@ -83,6 +84,13 @@ func TestHyperStateMatchesOracle(t *testing.T) {
 			wantDelta := referenceHyperCut(p, after) - before
 			if got := s.MoveDelta(i, dst); got != wantDelta {
 				t.Fatalf("trial %d move %d: neuron %d→%d delta %d, oracle %d", trial, move, i, dst, got, wantDelta)
+			}
+			// The one-pass vector scores every crossbar as MoveDelta does.
+			s.moveDeltas(i, deltas)
+			for k, d := range deltas {
+				if want := s.MoveDelta(i, k); d != want {
+					t.Fatalf("trial %d move %d: moveDeltas(%d)[%d] = %d, MoveDelta %d", trial, move, i, k, d, want)
+				}
 			}
 			s.Move(i, dst)
 			cur = after

@@ -335,3 +335,64 @@ func TestPipelineRunAllocBudgetWarm(t *testing.T) {
 		t.Errorf("warm Pipeline.Run allocates %.0f bytes per run, budget %d", bytesPerRun, maxBytes)
 	}
 }
+
+// TestPartitionerAllocBudget is the per-stage allocation contract of the
+// partitioners the warm pipeline runs most: one Partition call of greedy,
+// kl and hypercut on a 512-neuron modular app sized for the tree
+// interconnect. Each budget is the measured value plus slack, so a
+// regression names the stage that broke it.
+func TestPartitionerAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets are measured in the full suite")
+	}
+	app, err := BuildApp("gen:modular:n=512", AppConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := NewArch("tree", app.Graph, ArchSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProblem(app.Graph, arch.Crossbars, arch.CrossbarSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Measured on linux/amd64, go1.24 (allocs, bytes per call): greedy
+	// 5 and 12,352; kl 9 and 32,960 (the n×C affinity table is 16 KiB of
+	// it); hypercut 20 and 68,218.
+	for _, tc := range []struct {
+		name                string
+		maxAllocs, maxBytes float64
+	}{
+		{"greedy", 8, 16 << 10},
+		{"kl", 12, 40 << 10},
+		{"hypercut", 24, 80 << 10},
+	} {
+		pt, err := NewPartitioner(tc.name, PartitionerSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := pt.Partition(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the graph's lazy hypergraph
+		const runs = 10
+		allocs := testing.AllocsPerRun(runs, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytesPerRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.0f allocs, %.0f bytes per Partition", tc.name, allocs, bytesPerRun)
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s allocates %.0f objects per Partition, budget %.0f", tc.name, allocs, tc.maxAllocs)
+		}
+		if bytesPerRun > tc.maxBytes {
+			t.Errorf("%s allocates %.0f bytes per Partition, budget %.0f", tc.name, bytesPerRun, tc.maxBytes)
+		}
+	}
+}
