@@ -78,12 +78,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Has reports membership.
-func (r *Ring) Has(node string) bool {
-	_, ok := r.nodes[node]
-	return ok
-}
-
 // Len is the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
 

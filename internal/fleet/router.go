@@ -19,7 +19,8 @@ import (
 	"repro/internal/service"
 )
 
-// maxSpecBytes / maxBatchBytes mirror the worker-side admission bounds.
+// maxSpecBytes / maxBatchBytes bound the worker responses the router
+// reads: one job's worth, and a batch's (or a trace's).
 const (
 	maxSpecBytes  = 1 << 20
 	maxBatchBytes = 8 << 20
@@ -420,48 +421,47 @@ func (rt *Router) postWithRetry(ctx context.Context, node, path string, body []b
 	return code, rb, hdr, err
 }
 
-// submitTo walks the candidate list, placing the spec on the first node
-// that accepts it. Shed (429) and draining (503) responses spill to the
-// next ring successor — content addressing makes cross-node placement
-// safe, it only trades cache locality for availability. Network
-// failures count toward the node's death threshold. Returns the
-// accepting node, its decoded status and HTTP code; or, when every
-// candidate refused, the last refusal to relay (nil body means no live
-// workers at all).
-func (rt *Router) submitTo(ctx context.Context, candidates []string, specJSON []byte, tenant, exclude, unit string) (node string, st service.JobStatus, code int, rf *refusal, err error) {
-	var lastRefusal *refusal
+// submitTo is the spill walk of every submission, a lone job or a
+// sub-batch: it POSTs body to path on each candidate in turn (the ring
+// owner first, then its successors) and places the submission on the
+// first node that accepts it (200/202), decoding the response into T.
+// Shed (429) and draining (503) responses spill to the next candidate —
+// content addressing makes cross-node placement safe, it only trades
+// cache locality for availability. Network failures retry under the
+// shared policy and count toward the node's death threshold; any other
+// status is a definitive answer, relayed without spilling. When no node
+// accepts, node is "" and rf is the refusal to relay (nil when no worker
+// answered at all). unit seeds the per-target idempotency key; "" sends
+// none.
+func submitTo[T any](ctx context.Context, rt *Router, candidates []string, path string, body []byte, tenant, unit string) (node string, out T, code int, rf *refusal) {
 	for _, n := range candidates {
-		if n == exclude {
-			continue
+		idemKey := ""
+		if unit != "" {
+			idemKey = resilience.IdempotencyKey(unit, n)
 		}
-		status, body, hdr, derr := rt.postWithRetry(ctx, n, "/v1/jobs", specJSON, tenant, resilience.IdempotencyKey(unit, n), maxSpecBytes)
-		if derr != nil {
+		status, rb, hdr, err := rt.postWithRetry(ctx, n, path, body, tenant, idemKey, maxBatchBytes)
+		if err != nil {
 			continue // retries exhausted; failures already counted
 		}
 		switch status {
 		case http.StatusOK, http.StatusAccepted:
-			var js service.JobStatus
-			if json.Unmarshal(body, &js) != nil {
+			var v T
+			if json.Unmarshal(rb, &v) != nil {
 				rt.metrics.proxyErrors.Inc()
 				continue
 			}
-			return n, js, status, nil, nil
+			return n, v, status, nil
 		case http.StatusTooManyRequests:
 			rt.metrics.spills.Inc()
-			obs.AddEvent(ctx, "spill", obs.String("node", n), obs.Int("code", status))
-			lastRefusal = &refusal{code: status, body: body, retryAfter: hdr.Get("Retry-After")}
+			fallthrough
 		case http.StatusServiceUnavailable:
 			obs.AddEvent(ctx, "spill", obs.String("node", n), obs.Int("code", status))
-			lastRefusal = &refusal{code: status, body: body, retryAfter: hdr.Get("Retry-After")}
+			rf = &refusal{code: status, body: rb, retryAfter: hdr.Get("Retry-After")}
 		default:
-			// A definitive answer (e.g. 400): relay it, no spilling.
-			return "", service.JobStatus{}, status, &refusal{code: status, body: body, contentType: hdr.Get("Content-Type")}, nil
+			return "", out, status, &refusal{code: status, body: rb, contentType: hdr.Get("Content-Type")}
 		}
 	}
-	if lastRefusal != nil {
-		return "", service.JobStatus{}, lastRefusal.code, lastRefusal, nil
-	}
-	return "", service.JobStatus{}, 0, nil, fmt.Errorf("no live workers")
+	return "", out, 0, rf
 }
 
 // refusal is a worker response relayed verbatim.
@@ -472,7 +472,13 @@ type refusal struct {
 	contentType string
 }
 
+// relayRefusal answers with a worker's refusal, or — nil, when no
+// worker answered at all — with 503 "no live workers".
 func (rt *Router) relayRefusal(w http.ResponseWriter, rf *refusal) {
+	if rf == nil {
+		service.WriteBackpressure(w, http.StatusServiceUnavailable, "no live workers")
+		return
+	}
 	ct := rf.contentType
 	if ct == "" {
 		ct = "application/json"
@@ -589,20 +595,12 @@ func (rt *Router) Handler() http.Handler {
 // handleSubmit places one job on the ring owner of its content address,
 // spilling to successors when the owner sheds or drains.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec snnmap.JobSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "decoding job spec: %v", err)
+	specs, hashes, ok := service.DecodeSubmission(w, r, false)
+	if !ok {
 		return
 	}
-	spec, err := spec.Normalize()
-	if err != nil {
-		service.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	hash := spec.Hash()
-	specJSON, err := json.Marshal(spec)
+	hash := hashes[0]
+	specJSON, err := json.Marshal(specs[0])
 	if err != nil {
 		service.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -630,14 +628,13 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	defer sp.End()
 	ctx := obs.ContextWith(r.Context(), sp)
 
-	node, st, code, rf, err := rt.submitTo(ctx, rt.successors(hash), specJSON, tenant, "", unit)
-	if err != nil {
-		sp.SetAttr(obs.String("error", "no live workers"))
-		service.WriteBackpressure(w, http.StatusServiceUnavailable, "no live workers")
-		return
-	}
-	if rf != nil {
-		sp.SetAttr(obs.Int("refused", rf.code))
+	node, st, code, rf := submitTo[service.JobStatus](ctx, rt, rt.successors(hash), "/v1/jobs", specJSON, tenant, unit)
+	if node == "" {
+		if rf == nil {
+			sp.SetAttr(obs.String("error", "no live workers"))
+		} else {
+			sp.SetAttr(obs.Int("refused", rf.code))
+		}
 		rt.relayRefusal(w, rf)
 		return
 	}
@@ -943,36 +940,17 @@ func (rt *Router) relaySSE(w http.ResponseWriter, flusher http.Flusher, body io.
 }
 
 // handleBatch scatters a batch across the fleet by ring owner and
-// merges the per-worker responses back into input order. Each worker
-// still groups its share by session key, so warm sessions are built at
-// most once per sub-batch. If any sub-batch is refused everywhere the
-// whole batch fails with the refusal, and already-placed sub-batches
-// are canceled best-effort — a batch is admitted all-or-nothing from
-// the caller's point of view.
+// merges the per-worker responses back into input order. Each sub-batch
+// takes the same spill walk as a single job, along its owner's ring
+// successors; each worker still groups its share by session key, so warm
+// sessions are built at most once per sub-batch. If any sub-batch is
+// refused everywhere the whole batch fails with the refusal, and
+// already-placed sub-batches are canceled best-effort — a batch is
+// admitted all-or-nothing from the caller's point of view.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Jobs []snnmap.JobSpec `json:"jobs"`
-	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBatchBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "decoding batch: %v", err)
+	specs, hashes, ok := service.DecodeSubmission(w, r, true)
+	if !ok {
 		return
-	}
-	if len(req.Jobs) == 0 {
-		service.WriteError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	specs := make([]snnmap.JobSpec, len(req.Jobs))
-	hashes := make([]string, len(req.Jobs))
-	for i, spec := range req.Jobs {
-		norm, err := spec.Normalize()
-		if err != nil {
-			service.WriteError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
-			return
-		}
-		specs[i] = norm
-		hashes[i] = norm.Hash()
 	}
 	tenant := r.Header.Get("X-Tenant")
 
@@ -980,27 +958,28 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// scatter child, which in turn parents that worker's batch span — so
 	// every job of the batch hangs off one trace, as siblings.
 	batchSp := rt.startProxySpan(r.Header, "router.batch")
-	batchSp.SetAttr(obs.Int("jobs", len(req.Jobs)))
+	batchSp.SetAttr(obs.Int("jobs", len(specs)))
 	defer batchSp.End()
 
 	// Scatter: sub-batch per ring owner, input order preserved within
-	// each. An empty ring (every worker dead) fails fast.
+	// each; it spills along the successors of the hash that opened it. An
+	// empty ring (every worker dead) fails fast.
 	type subBatch struct {
-		owner   string
-		indices []int
+		candidates []string
+		indices    []int
 	}
 	var order []string
 	subs := map[string]*subBatch{}
 	for i, h := range hashes {
 		cands := rt.successors(h)
 		if len(cands) == 0 {
-			service.WriteBackpressure(w, http.StatusServiceUnavailable, "no live workers")
+			rt.relayRefusal(w, nil)
 			return
 		}
 		owner := cands[0]
 		sb := subs[owner]
 		if sb == nil {
-			sb = &subBatch{owner: owner}
+			sb = &subBatch{candidates: cands}
 			subs[owner] = sb
 			order = append(order, owner)
 		}
@@ -1029,57 +1008,42 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, owner := range order {
 		sb := subs[owner]
-		sub := struct {
-			Jobs []snnmap.JobSpec `json:"jobs"`
-		}{Jobs: make([]snnmap.JobSpec, 0, len(sb.indices))}
+		req := service.BatchRequest{Jobs: make([]snnmap.JobSpec, 0, len(sb.indices))}
 		for _, i := range sb.indices {
-			sub.Jobs = append(sub.Jobs, specs[i])
+			req.Jobs = append(req.Jobs, specs[i])
 		}
-		body, err := json.Marshal(sub)
+		body, err := json.Marshal(req)
 		if err != nil {
 			service.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		// Owner first, spill the whole sub-batch to the remaining live
-		// nodes on shed/drain — session grouping is per-worker, so the
-		// sub-batch stays valid wherever it lands.
-		candidates := []string{sb.owner}
-		for _, n := range rt.liveNodes() {
-			if n != sb.owner {
-				candidates = append(candidates, n)
-			}
-		}
 		scatterSp := batchSp.StartChild("router.scatter")
-		scatterSp.SetAttr(obs.String("owner", sb.owner), obs.Int("jobs", len(sb.indices)))
-		st, rf, err := rt.submitBatchTo(obs.ContextWith(r.Context(), scatterSp), candidates, body, tenant)
-		if err != nil || rf != nil {
+		scatterSp.SetAttr(obs.String("owner", owner), obs.Int("jobs", len(sb.indices)))
+		node, sub, _, rf := submitTo[service.BatchResponse](obs.ContextWith(r.Context(), scatterSp), rt, sb.candidates, "/v1/batches", body, tenant, "")
+		if node == "" {
 			scatterSp.SetAttr(obs.String("error", "sub-batch refused"))
 			scatterSp.End()
 			rollback()
-			if rf != nil {
-				rt.relayRefusal(w, rf)
-			} else {
-				service.WriteBackpressure(w, http.StatusServiceUnavailable, "no live workers")
-			}
+			rt.relayRefusal(w, rf)
 			return
 		}
-		scatterSp.SetAttr(obs.String("node", st.node))
+		scatterSp.SetAttr(obs.String("node", node))
 		scatterSp.End()
-		if len(st.statuses) != len(sb.indices) {
+		// Registered before the count check, so a malformed answer's
+		// accepted jobs are rolled back too.
+		placements = append(placements, placed{node: node, statuses: sub.Jobs, indices: sb.indices, trace: scatterSp.Context()})
+		if len(sub.Jobs) != len(sb.indices) {
 			rollback()
-			service.WriteError(w, http.StatusBadGateway, "worker %s returned %d statuses for %d jobs", st.node, len(st.statuses), len(sb.indices))
+			service.WriteError(w, http.StatusBadGateway, "worker %s returned %d statuses for %d jobs", node, len(sub.Jobs), len(sb.indices))
 			return
 		}
-		placements = append(placements, placed{node: st.node, statuses: st.statuses, indices: sb.indices, trace: scatterSp.Context()})
 	}
 
 	// Merge: one route per distinct remote job (duplicate hashes collapse
 	// worker-side onto one job; they share a route here too), statuses in
 	// input order.
 	rt.metrics.batches.Inc()
-	resp := struct {
-		Jobs []service.JobStatus `json:"jobs"`
-	}{Jobs: make([]service.JobStatus, len(specs))}
+	resp := service.BatchResponse{Jobs: make([]service.JobStatus, len(specs))}
 	shared := map[string]*route{}
 	for _, p := range placements {
 		for k, st := range p.statuses {
@@ -1100,63 +1064,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	service.WriteJSON(w, http.StatusOK, resp)
-}
-
-// batchPlacement is one accepted sub-batch.
-type batchPlacement struct {
-	node     string
-	statuses []service.JobStatus
-}
-
-// submitBatchTo mirrors submitTo for sub-batches.
-func (rt *Router) submitBatchTo(ctx context.Context, candidates []string, body []byte, tenant string) (*batchPlacement, *refusal, error) {
-	var lastRefusal *refusal
-	for _, n := range candidates {
-		resp, err := rt.doJSON(ctx, http.MethodPost, n, "/v1/batches", body, tenant)
-		if err != nil {
-			rt.metrics.proxyErrors.Inc()
-			rt.mon.reportFailure(n)
-			continue
-		}
-		rb, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBatchBytes))
-		resp.Body.Close()
-		if rerr != nil {
-			rt.metrics.proxyErrors.Inc()
-			rt.mon.reportFailure(n)
-			continue
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			var br struct {
-				Jobs []service.JobStatus `json:"jobs"`
-			}
-			if json.Unmarshal(rb, &br) != nil {
-				rt.metrics.proxyErrors.Inc()
-				continue
-			}
-			return &batchPlacement{node: n, statuses: br.Jobs}, nil, nil
-		case http.StatusTooManyRequests:
-			rt.metrics.spills.Inc()
-			obs.AddEvent(ctx, "spill", obs.String("node", n), obs.Int("code", resp.StatusCode))
-			lastRefusal = &refusal{code: resp.StatusCode, body: rb, retryAfter: resp.Header.Get("Retry-After")}
-		case http.StatusServiceUnavailable:
-			obs.AddEvent(ctx, "spill", obs.String("node", n), obs.Int("code", resp.StatusCode))
-			lastRefusal = &refusal{code: resp.StatusCode, body: rb, retryAfter: resp.Header.Get("Retry-After")}
-		default:
-			return nil, &refusal{code: resp.StatusCode, body: rb, contentType: resp.Header.Get("Content-Type")}, nil
-		}
-	}
-	if lastRefusal != nil {
-		return nil, lastRefusal, nil
-	}
-	return nil, nil, fmt.Errorf("no live workers")
-}
-
-// liveNodes lists the ring members (alive by construction).
-func (rt *Router) liveNodes() []string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.ring.Nodes()
 }
 
 // FleetView is the wire shape of GET /v1/fleet: the router's membership

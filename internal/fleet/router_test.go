@@ -716,3 +716,164 @@ func TestRouterForwardsClientIdempotencyKey(t *testing.T) {
 	}
 	_ = rt
 }
+
+// TestRouterBatchRollbackShortStatuses pins the all-or-nothing batch
+// against a worker that answers a sub-batch with too few statuses: the
+// router answers 502 and cancels the jobs that worker did accept.
+func TestRouterBatchRollbackShortStatuses(t *testing.T) {
+	deleted := make(chan string, 4)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
+	mux.HandleFunc("POST /v1/batches", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		service.WriteJSON(w, http.StatusOK, service.BatchResponse{Jobs: []service.JobStatus{
+			{ID: "job-000001", State: service.JobQueued},
+		}})
+	})
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		deleted <- r.PathValue("id")
+		service.WriteJSON(w, http.StatusOK, service.JobStatus{ID: r.PathValue("id"), State: service.JobCanceled})
+	})
+	stub := httptest.NewServer(mux)
+	defer stub.Close()
+
+	rt, err := NewRouter(RouterConfig{Peers: []string{stub.URL}, ProbeInterval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(rt.Handler())
+	defer srv.Close()
+
+	a, b := tinyFleetSpec(), tinyFleetSpec()
+	b.Seed = 2
+	resp, body := postJSON(t, srv.URL+"/v1/batches", service.BatchRequest{Jobs: []snnmap.JobSpec{a, b}})
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("short status array via router = %d %s, want 502", resp.StatusCode, body)
+	}
+	select {
+	case id := <-deleted:
+		if id != "job-000001" {
+			t.Fatalf("router canceled %q, want the stub's job-000001", id)
+		}
+	default:
+		t.Fatal("router answered 502 without canceling the job the worker accepted")
+	}
+}
+
+// specOwnedBy returns a variant of base (by seed) whose content address
+// the ring assigns to owner, skipping the seeds in used.
+func specOwnedBy(t *testing.T, ring *Ring, base snnmap.JobSpec, owner string, used map[int64]bool) snnmap.JobSpec {
+	t.Helper()
+	for seed := int64(1); seed < 1000; seed++ {
+		if used[seed] {
+			continue
+		}
+		s := base
+		s.Seed = seed
+		norm, err := s.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, _ := ring.Owner(norm.Hash()); o == owner {
+			used[seed] = true
+			return s
+		}
+	}
+	t.Fatalf("no seed maps to %s", owner)
+	return base
+}
+
+// TestRouterBatchSpillAndRefusal pins the sub-batch spill walk: a
+// sub-batch whose owner sheds lands on a ring successor, and one that
+// every worker sheds relays the worker's 429 to the client while the
+// sub-batches already placed are canceled.
+func TestRouterBatchSpillAndRefusal(t *testing.T) {
+	workers := startWorkers(t, 2, func(int) service.Config {
+		return service.Config{Workers: 1, QueueDepth: 1}
+	}, false)
+	rt, base := startRouter(t, workers)
+	ring := NewRing(0, workerURLs(workers)...)
+	nodeA, nodeB := workers[0].url, workers[1].url
+	used := map[int64]bool{}
+	batch := func(specs ...snnmap.JobSpec) (*http.Response, []byte) {
+		return postJSON(t, base+"/v1/batches", service.BatchRequest{Jobs: specs})
+	}
+	var slow []string
+	defer func() {
+		for _, id := range slow {
+			req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}
+	}()
+
+	// Fill A: one job running, one queued (QueueDepth 1).
+	st := submitVia(t, base, specOwnedBy(t, ring, slowFleetSpec(), nodeA, used), http.StatusAccepted)
+	slow = append(slow, st.ID)
+	waitRunningVia(t, base, st.ID)
+	submitVia(t, base, specOwnedBy(t, ring, tinyFleetSpec(), nodeA, used), http.StatusAccepted)
+
+	// Spill: A sheds, the sub-batch lands on its successor B.
+	resp, body := batch(specOwnedBy(t, ring, tinyFleetSpec(), nodeA, used))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch with a shedding owner = %d %s, want 200 from the successor", resp.StatusCode, body)
+	}
+	if got := rt.metrics.spills.Value(); got < 1 {
+		t.Fatalf("router spills = %d, want >= 1", got)
+	}
+	var br service.BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if ro, ok := rt.lookup(br.Jobs[0].ID); !ok {
+		t.Fatalf("no route for %s", br.Jobs[0].ID)
+	} else if node, _, _ := ro.snapshot(); node != nodeB {
+		t.Fatalf("spilled sub-batch placed on %s, want successor %s", node, nodeB)
+	}
+	waitDoneVia(t, base, br.Jobs[0].ID, 60*time.Second)
+
+	// Refusal: B busy, so its sub-batch fills B's queue; A's sub-batch is
+	// then shed by A and by B. The client gets the worker's 429 and B's
+	// placed job is canceled.
+	st = submitVia(t, base, specOwnedBy(t, ring, slowFleetSpec(), nodeB, used), http.StatusAccepted)
+	slow = append(slow, st.ID)
+	waitRunningVia(t, base, st.ID)
+	onB := specOwnedBy(t, ring, tinyFleetSpec(), nodeB, used)
+	resp, body = batch(onB, specOwnedBy(t, ring, tinyFleetSpec(), nodeA, used))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("batch shed everywhere = %d %s, want 429", resp.StatusCode, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("relayed shed lost the Retry-After header")
+	}
+	if !strings.Contains(string(body), `"code": "overloaded"`) {
+		t.Fatalf("relayed shed body:\n%s", body)
+	}
+	norm, err := onB.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list := getBody(t, nodeB+"/v1/jobs")
+	var jobs struct {
+		Jobs []service.JobStatus `json:"jobs"`
+	}
+	if err := json.Unmarshal(list, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, j := range jobs.Jobs {
+		if j.Hash == norm.Hash() {
+			found = true
+			if j.State != service.JobCanceled {
+				t.Fatalf("placed sub-batch job on B = %s, want canceled", j.State)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("the sub-batch placed on B never reached it")
+	}
+}

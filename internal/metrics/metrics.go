@@ -235,34 +235,3 @@ func (a *Accumulator) Report(durationMs int64) Report {
 	}
 	return r
 }
-
-// PerDestination summarizes arrivals per destination crossbar, for
-// congestion hot-spot reporting.
-type PerDestination struct {
-	Dst        int
-	Arrivals   int64
-	MaxLatency int64
-}
-
-// ByDestination aggregates the trace per destination crossbar, ordered by
-// crossbar index.
-func ByDestination(deliveries []noc.Delivery) []PerDestination {
-	agg := map[int]*PerDestination{}
-	for _, d := range deliveries {
-		p := agg[d.Dst]
-		if p == nil {
-			p = &PerDestination{Dst: d.Dst}
-			agg[d.Dst] = p
-		}
-		p.Arrivals++
-		if lat := d.Latency(); lat > p.MaxLatency {
-			p.MaxLatency = lat
-		}
-	}
-	out := make([]PerDestination, 0, len(agg))
-	for _, p := range agg {
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dst < out[j].Dst })
-	return out
-}

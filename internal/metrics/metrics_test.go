@@ -144,24 +144,6 @@ func TestAnalyzeUnsortedInput(t *testing.T) {
 	}
 }
 
-func TestByDestination(t *testing.T) {
-	ds := []noc.Delivery{
-		d(1, 0, 2, 0, 10),
-		d(2, 0, 2, 0, 30),
-		d(3, 0, 5, 0, 7),
-	}
-	per := ByDestination(ds)
-	if len(per) != 2 {
-		t.Fatalf("destinations = %d, want 2", len(per))
-	}
-	if per[0].Dst != 2 || per[0].Arrivals != 2 || per[0].MaxLatency != 30 {
-		t.Fatalf("per[0] = %+v", per[0])
-	}
-	if per[1].Dst != 5 || per[1].Arrivals != 1 || per[1].MaxLatency != 7 {
-		t.Fatalf("per[1] = %+v", per[1])
-	}
-}
-
 // TestAccumulatorMatchesAnalyze pins the streaming accumulator to Analyze
 // bit for bit on random arrival-ordered traces, including arrival-cycle
 // ties (where Analyze's stable sort preserves feed order) and repeated

@@ -21,9 +21,6 @@ func NewLogHandler(w io.Writer, level slog.Leveler) *LogHandler {
 	return &LogHandler{inner: slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})}
 }
 
-// WrapHandler adds trace-context stamping to an existing handler.
-func WrapHandler(h slog.Handler) *LogHandler { return &LogHandler{inner: h} }
-
 // Enabled implements slog.Handler.
 func (h *LogHandler) Enabled(ctx context.Context, level slog.Level) bool {
 	return h.inner.Enabled(ctx, level)

@@ -173,38 +173,23 @@ func (s *Server) finishCached(spec snnmap.JobSpec, hash string, table *snnmap.Ta
 	return st
 }
 
-// handleSubmit accepts a mapping job: the body is a JobSpec, normalized
-// and content-addressed. An identical canonical spec already completed
-// is answered from the result cache — the job is born done, no pipeline
-// touched. Otherwise the job is queued for the worker pool and the
-// response is 202 with the job's status (poll GET /v1/jobs/{id}, stream
-// GET /v1/jobs/{id}/events).
+// handleSubmit accepts a mapping job: a batch of one, admitted through
+// the same path as POST /v1/batches. An identical canonical spec already
+// completed is answered 200 from the result cache — the job is born
+// done, no pipeline touched. Otherwise the job is queued for the worker
+// pool and the response is 202 with the job's status (poll
+// GET /v1/jobs/{id}, stream GET /v1/jobs/{id}/events).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec snnmap.JobSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		WriteError(w, http.StatusBadRequest, "decoding job spec: %v", err)
+	specs, hashes, ok := DecodeSubmission(w, r, false)
+	if !ok {
 		return
 	}
-	spec, err := spec.Normalize()
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.isDraining() {
-		// Even cache-answerable submissions are refused: drain means
-		// "this instance takes no new work", full stop.
-		s.unavailable(w)
-		return
-	}
-	hash := spec.Hash()
 
 	// Idempotent replay: a keyed resubmission whose first attempt this
 	// node already accepted answers with that job instead of creating a
-	// duplicate record.
+	// duplicate record. A draining node refuses it like any submission.
 	idemKey := r.Header.Get(IdempotencyKeyHeader)
-	if idemKey != "" {
+	if idemKey != "" && !s.isDraining() {
 		if id, ok := s.idem.lookup(idemKey); ok {
 			if j, ok := s.store.get(id); ok {
 				s.metrics.idemReplays.Inc()
@@ -216,141 +201,148 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// The job root span continues the router's trace (traceparent) or
 	// starts a fresh one; the cache lookup becomes its first child.
-	tr := s.startJobTrace(r.Header, spec)
-	ctx := obs.ContextWith(r.Context(), tr.rootSpan())
-
-	if table, ok := s.cachedTable(ctx, hash); ok {
-		// Content-address hit (local tier or a peer's): identical
-		// canonical spec ⇒ byte-identical result, by the end-to-end
-		// determinism the invariant harness pins. Serve the cached
-		// table; no queue, no session, no run.
-		st := s.finishCached(spec, hash, table, tr)
-		if idemKey != "" {
-			s.idem.record(idemKey, st.ID)
-		}
-		WriteJSON(w, http.StatusOK, st)
+	tr := s.startJobTrace(r.Header, specs[0])
+	sts, ok := s.admit(w, r, specs, hashes, tr.rootSpan(), func(snnmap.JobSpec) *jobTrace { return tr })
+	if !ok {
 		return
 	}
-
-	tenant := r.Header.Get("X-Tenant")
-	s.submitMu.Lock()
-	if s.draining {
-		s.submitMu.Unlock()
-		s.unavailable(w)
-		return
-	}
-	j := s.store.create(spec, hash, s.cfg.Now(), tr)
-	tr.startQueued()
-	if err := s.queue.push(&workGroup{tenant: tenant, jobs: []*job{j}}); err != nil {
-		s.submitMu.Unlock()
-		s.store.remove(j.id)
-		s.shed(w, err)
-		return
-	}
-	s.metrics.jobsQueued.Add(1)
-	j.events.append("state", statePayload{State: JobQueued})
-	s.submitMu.Unlock()
 	if idemKey != "" {
-		s.idem.record(idemKey, j.id)
+		s.idem.record(idemKey, sts[0].ID)
 	}
-	WriteJSON(w, http.StatusAccepted, s.store.status(j))
+	code := http.StatusAccepted
+	if sts[0].Cached {
+		code = http.StatusOK
+	}
+	WriteJSON(w, code, sts[0])
 }
 
-// batchRequest is the wire shape of POST /v1/batches: many job specs
+// BatchRequest is the wire shape of POST /v1/batches: many job specs
 // submitted as one unit.
-type batchRequest struct {
+type BatchRequest struct {
 	Jobs []snnmap.JobSpec `json:"jobs"`
 }
 
-// batchResponse mirrors the request order: one status per submitted
+// BatchResponse mirrors the request order: one status per submitted
 // spec. Duplicate canonical specs within a batch collapse onto one job,
 // whose status repeats at each duplicate's index.
-type batchResponse struct {
+type BatchResponse struct {
 	Jobs []JobStatus `json:"jobs"`
 }
 
-// handleBatch accepts N job specs as one submission. Specs already
-// answerable from the cache tiers are born done; the rest are deduped by
-// content address and grouped by session key, one work group per key, so
-// each warm session is resolved (and at most built) once per batch
-// however many jobs share it. Admission is all-or-nothing: either every
-// group fits the queue bounds or the whole batch is shed with 429 —
-// there are no partially accepted batches.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBatchBytes))
+// DecodeSubmission reads a submission body — one JobSpec on
+// POST /v1/jobs, a {"jobs": [...]} batch on POST /v1/batches — and
+// normalizes and content-addresses every spec, in request order. It is
+// the decode step of worker and router alike, so both answer a malformed
+// body with the same 400, written here; ok is false then.
+func DecodeSubmission(w http.ResponseWriter, r *http.Request, batch bool) (specs []snnmap.JobSpec, hashes []string, ok bool) {
+	var req BatchRequest
+	var into any = &req
+	limit, what := int64(maxBatchBytes), "batch"
+	if !batch {
+		req.Jobs = make([]snnmap.JobSpec, 1)
+		into, limit, what = &req.Jobs[0], maxSpecBytes, "job spec"
+	}
+	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, "decoding batch: %v", err)
-		return
+	if err := dec.Decode(into); err != nil {
+		WriteError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+		return nil, nil, false
 	}
 	if len(req.Jobs) == 0 {
 		WriteError(w, http.StatusBadRequest, "empty batch")
-		return
+		return nil, nil, false
 	}
-	specs := make([]snnmap.JobSpec, len(req.Jobs))
-	hashes := make([]string, len(req.Jobs))
+	hashes = make([]string, len(req.Jobs))
 	for i, spec := range req.Jobs {
 		norm, err := spec.Normalize()
 		if err != nil {
-			WriteError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
-			return
+			msg := err.Error()
+			if batch {
+				msg = fmt.Sprintf("jobs[%d]: %v", i, err)
+			}
+			WriteError(w, http.StatusBadRequest, "%s", msg)
+			return nil, nil, false
 		}
-		specs[i] = norm
-		hashes[i] = norm.Hash()
+		req.Jobs[i], hashes[i] = norm, norm.Hash()
 	}
-	if s.isDraining() {
-		s.unavailable(w)
+	return req.Jobs, hashes, true
+}
+
+// handleBatch accepts N job specs as one submission, admitted all or
+// nothing (see admit). The batch span is the common parent of every job
+// in the batch: the router's scatter span (traceparent) parents it, and
+// each job's root span becomes its child, so a scattered batch renders
+// as sibling jobs under one trace.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	specs, hashes, ok := DecodeSubmission(w, r, true)
+	if !ok {
 		return
 	}
-
-	// The batch span is the common parent of every job in the batch:
-	// the router's scatter span (traceparent) parents it, and each
-	// created job's root span becomes its child, so a scattered batch
-	// renders as sibling jobs under one trace.
 	var batchSp *obs.Span
 	if s.tracer != nil {
 		parent, _ := obs.Extract(r.Header)
 		batchSp = s.tracer.StartSpan("batch", parent)
-		batchSp.SetAttr(obs.Int("jobs", len(req.Jobs)))
+		batchSp.SetAttr(obs.Int("jobs", len(specs)))
 	}
-	bctx := obs.ContextWith(r.Context(), batchSp)
 	defer batchSp.End()
-
-	// Plan the batch: resolve the cache tiers per unique hash, dedupe,
-	// and group the fresh specs by session key in first-appearance
-	// order. Nothing is created in the store yet — admission must be
-	// able to shed the batch without leaving half-created jobs behind.
-	type plan struct {
-		spec snnmap.JobSpec
-		hash string
-		job  *job // created after admission
+	sts, ok := s.admit(w, r, specs, hashes, batchSp, func(spec snnmap.JobSpec) *jobTrace { return childJobTrace(batchSp, spec) })
+	if !ok {
+		return
 	}
+	s.metrics.batches.Inc()
+	WriteJSON(w, http.StatusOK, BatchResponse{Jobs: sts})
+}
+
+// admit is the one admission path, for a lone job and a batch alike.
+// Specs already answerable from the cache tiers are born done; the rest
+// are deduped by content address and grouped by session key, one work
+// group per key, so each warm session is resolved (and at most built)
+// once per submission however many jobs share it. Admission is
+// all-or-nothing: either every group fits the queue bounds or the whole
+// submission is shed with 429 — there are no partially accepted
+// batches. A draining node refuses with 503 before any work happens.
+//
+// parent is the span the cache lookups hang off; trace opens the root
+// span of each job admit creates. The statuses come back in input order,
+// a duplicate repeating its job's status; on refusal admit has written
+// the response and ok is false.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, specs []snnmap.JobSpec, hashes []string, parent *obs.Span, trace func(snnmap.JobSpec) *jobTrace) (sts []JobStatus, ok bool) {
+	if s.isDraining() {
+		// Even cache-answerable submissions are refused: drain means
+		// "this instance takes no new work", full stop.
+		s.unavailable(w)
+		return nil, false
+	}
+
+	// Plan: resolve the cache tiers per unique hash, dedupe, and group
+	// the fresh specs by session key in first-appearance order. Nothing
+	// is created in the store yet — admission must be able to shed the
+	// submission without leaving half-created jobs behind.
+	ctx := obs.ContextWith(r.Context(), parent)
 	var (
 		cachedTables = map[string]*snnmap.Table{} // hash → cached answer
-		fresh        = map[string]*plan{}         // hash → deduped fresh spec
+		fresh        = map[string]*job{}          // hash → deduped fresh job (created after planning)
 		groupOrder   []string                     // session keys, first appearance
-		groupPlans   = map[string][]*plan{}       // session key → fresh specs
+		groupSpecs   = map[string][]int{}         // session key → indices of fresh specs
 	)
 	for i, spec := range specs {
 		h := hashes[i]
-		if _, ok := cachedTables[h]; ok {
+		if _, seen := fresh[h]; seen || cachedTables[h] != nil {
 			continue
 		}
-		if _, ok := fresh[h]; ok {
-			continue
-		}
-		if table, ok := s.cachedTable(bctx, h); ok {
+		// Content-address hit (local tier or a peer's): identical
+		// canonical spec ⇒ byte-identical result, by the end-to-end
+		// determinism the invariant harness pins.
+		if table, ok := s.cachedTable(ctx, h); ok {
 			cachedTables[h] = table
 			continue
 		}
-		p := &plan{spec: spec, hash: h}
-		fresh[h] = p
+		fresh[h] = nil
 		key := spec.SessionKey()
-		if _, ok := groupPlans[key]; !ok {
+		if _, ok := groupSpecs[key]; !ok {
 			groupOrder = append(groupOrder, key)
 		}
-		groupPlans[key] = append(groupPlans[key], p)
+		groupSpecs[key] = append(groupSpecs[key], i)
 	}
 
 	// Admit atomically: create the fresh jobs and push every group in
@@ -359,28 +351,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		s.submitMu.Unlock()
 		s.unavailable(w)
-		return
+		return nil, false
 	}
 	groups := make([]*workGroup, 0, len(groupOrder))
 	tenant := r.Header.Get("X-Tenant")
 	for _, key := range groupOrder {
 		g := &workGroup{tenant: tenant}
-		for _, p := range groupPlans[key] {
-			p.job = s.store.create(p.spec, p.hash, s.cfg.Now(), childJobTrace(batchSp, p.spec))
-			p.job.trace.startQueued()
-			g.jobs = append(g.jobs, p.job)
+		for _, i := range groupSpecs[key] {
+			j := s.store.create(specs[i], hashes[i], s.cfg.Now(), trace(specs[i]))
+			j.trace.startQueued()
+			fresh[hashes[i]] = j
+			g.jobs = append(g.jobs, j)
 		}
 		groups = append(groups, g)
 	}
 	if err := s.queue.push(groups...); err != nil {
 		s.submitMu.Unlock()
-		for _, p := range fresh {
-			if p.job != nil {
-				s.store.remove(p.job.id)
-			}
+		for _, j := range fresh {
+			s.store.remove(j.id)
 		}
 		s.shed(w, err)
-		return
+		return nil, false
 	}
 	for _, g := range groups {
 		for _, j := range g.jobs {
@@ -389,27 +380,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.submitMu.Unlock()
-	s.metrics.batches.Inc()
 
 	// Render statuses in input order: cached specs materialize born-done
 	// jobs now (one per unique hash), fresh ones report queued.
 	bornDone := map[string]JobStatus{}
-	resp := batchResponse{Jobs: make([]JobStatus, len(specs))}
-	for i := range specs {
-		h := hashes[i]
-		switch {
-		case fresh[h] != nil:
-			resp.Jobs[i] = s.store.status(fresh[h].job)
-		default:
-			st, ok := bornDone[h]
-			if !ok {
-				st = s.finishCached(specs[i], h, cachedTables[h], childJobTrace(batchSp, specs[i]))
-				bornDone[h] = st
-			}
-			resp.Jobs[i] = st
+	sts = make([]JobStatus, len(specs))
+	for i, h := range hashes {
+		if j := fresh[h]; j != nil {
+			sts[i] = s.store.status(j)
+			continue
 		}
+		st, ok := bornDone[h]
+		if !ok {
+			st = s.finishCached(specs[i], h, cachedTables[h], trace(specs[i]))
+			bornDone[h] = st
+		}
+		sts[i] = st
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	return sts, true
 }
 
 // handleCacheFetch serves this node's local result-cache tier to peers:
@@ -561,10 +549,7 @@ type healthzBody struct {
 // "draining" once Drain began (load balancers stop routing, in-flight
 // work finishes).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.submitMu.Lock()
-	draining := s.draining
-	s.submitMu.Unlock()
-	if draining {
+	if s.isDraining() {
 		WriteJSON(w, http.StatusServiceUnavailable, healthzBody{Status: "draining"})
 		return
 	}

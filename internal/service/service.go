@@ -360,10 +360,6 @@ func (s *Server) CacheHas(hash string) bool { return s.cache.has(hash) }
 // Exported for the fleet's join-time cache warmer.
 func (s *Server) CachePut(hash string, table *snnmap.Table) { s.cache.put(hash, table) }
 
-// CacheHashes lists up to limit locally cached content addresses, most
-// recently used first. Exported for the fleet's join-time cache warmer.
-func (s *Server) CacheHashes(limit int) []string { return s.cache.keys(limit) }
-
 // Drain stops the daemon gracefully: submissions are rejected from the
 // moment it is called, queued and running jobs are given until ctx
 // expires to finish, and past the deadline running jobs are canceled

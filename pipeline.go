@@ -65,8 +65,8 @@ type StageEvent struct {
 	// Placement is set after StagePlace: the relabelled assignment.
 	Placement Assignment
 	// NoC is set after StageSimulate. Its Deliveries are empty unless
-	// the pipeline keeps the trace (WithTrace, WithSimulate or
-	// WithAnalyze); otherwise the run streams its analysis.
+	// the pipeline keeps the trace (WithTrace); otherwise the run
+	// streams its analysis.
 	NoC *noc.Result
 	// Metrics is set after StageAnalyze.
 	Metrics *MetricsReport
@@ -87,38 +87,12 @@ type ObserverFunc func(ev StageEvent)
 // OnStage implements Observer.
 func (f ObserverFunc) OnStage(ev StageEvent) { f(ev) }
 
-// HopFunc returns the link distance between two physical crossbar slots.
-type HopFunc func(a, b int) (int, error)
-
-// PlaceFunc overrides the placement stage: given the problem, the
-// partitioner's assignment and the interconnect hop distances, it returns
-// the relabelled assignment to simulate. IdentityPlacement skips
-// placement; the default is partition.PlaceCrossbars.
-type PlaceFunc func(p *Problem, a Assignment, hop HopFunc) (Assignment, error)
-
-// IdentityPlacement is a PlaceFunc that keeps the partitioner's crossbar
-// labels — mapping without the placement stage, e.g. to measure the
-// placement stage's own contribution.
-func IdentityPlacement(_ *Problem, a Assignment, _ HopFunc) (Assignment, error) {
-	return a, nil
-}
-
-// SimulateFunc overrides the interconnect-simulation stage. The simulator
-// is freshly Reset and owned by the call.
-type SimulateFunc func(sim *noc.Simulator, g *SpikeGraph, assign Assignment, arch Arch) (*noc.Result, error)
-
-// AnalyzeFunc overrides the metric-analysis stage.
-type AnalyzeFunc func(deliveries []Delivery, durationMs int64) MetricsReport
-
 // pipelineOptions is the resolved functional-option state of a Pipeline.
 type pipelineOptions struct {
 	keepTrace bool
 	timeout   time.Duration
 	workers   int
 	observer  Observer
-	place     PlaceFunc
-	simulate  SimulateFunc
-	analyze   AnalyzeFunc
 }
 
 // Option configures a Pipeline at construction.
@@ -132,10 +106,9 @@ func WithTrace(keep bool) Option {
 
 // WithStreamingDelivery is a no-op kept for source compatibility.
 //
-// Deprecated: streaming analysis is automatic. Every run whose delivery
-// trace has no other consumer (no WithTrace, WithSimulate or WithAnalyze)
-// computes its metrics from a metrics.Accumulator fed by the simulator's
-// delivery sink and never allocates the trace.
+// Deprecated: streaming analysis is automatic. Every run without
+// WithTrace computes its metrics from a metrics.Accumulator fed by the
+// simulator's delivery sink and never allocates the trace.
 func WithStreamingDelivery(bool) Option {
 	return func(*pipelineOptions) {}
 }
@@ -156,24 +129,6 @@ func WithWorkers(n int) Option {
 // WithObserver registers an observer for stage-completion events.
 func WithObserver(obs Observer) Option {
 	return func(o *pipelineOptions) { o.observer = obs }
-}
-
-// WithPlacement overrides the placement stage (nil restores the default,
-// partition.PlaceCrossbars).
-func WithPlacement(f PlaceFunc) Option {
-	return func(o *pipelineOptions) { o.place = f }
-}
-
-// WithSimulate overrides the interconnect-simulation stage (nil restores
-// the default cycle-level replay).
-func WithSimulate(f SimulateFunc) Option {
-	return func(o *pipelineOptions) { o.simulate = f }
-}
-
-// WithAnalyze overrides the metric-analysis stage (nil restores
-// metrics.Analyze).
-func WithAnalyze(f AnalyzeFunc) Option {
-	return func(o *pipelineOptions) { o.analyze = f }
 }
 
 // Pipeline is a warm mapping session for one (application, architecture)
@@ -300,12 +255,11 @@ func (pl *Pipeline) RunObserved(ctx context.Context, pt Partitioner, obs Observe
 // the session pool per call) and RunSeeds (which holds one of each per
 // sweep worker across a whole seed chunk).
 //
-// The analysis route follows from who else consumes the delivery trace:
-// with no WithTrace, WithSimulate or WithAnalyze, the simulator streams
-// every delivery into a metrics.Accumulator and the trace is never
-// built; otherwise the trace is kept and metrics.Analyze (or the
-// caller's stage) reads it. Both routes report bit-identical metrics
-// (see TestPipelineStreamingMatchesTrace).
+// The analysis route follows from whether the delivery trace is kept:
+// without WithTrace, the simulator streams every delivery into a
+// metrics.Accumulator and the trace is never built; with it, the trace
+// is kept and metrics.Analyze reads it. Both routes report
+// bit-identical metrics (see TestPipelineStreamingMatchesTrace).
 func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *trafficScratch, pt Partitioner, obs Observer) (*Report, error) {
 	if pt == nil {
 		return nil, errors.New("snnmap: nil partitioner")
@@ -335,16 +289,10 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 
 	// Stage 2 — place.
 	start = time.Now()
-	place := pl.opts.place
-	if place == nil {
-		place = func(p *Problem, a Assignment, hop HopFunc) (Assignment, error) {
-			return partition.PlaceCrossbarsCtx(ctx, p, a, hop)
-		}
-	}
 	// res is never mutated after the StagePartition event, so an observer
 	// retaining it keeps the partitioner's raw assignment to compare
 	// against the placed one.
-	placed, err := place(pl.problem, res.Assign, sim.HopDistance)
+	placed, err := partition.PlaceCrossbarsCtx(ctx, pl.problem, res.Assign, sim.HopDistance)
 	if err != nil {
 		return nil, err
 	}
@@ -374,10 +322,6 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 
 	// Stage 3 — simulate.
 	start = time.Now()
-	simulate := pl.opts.simulate
-	if simulate == nil {
-		simulate = sc.injectAndRun
-	}
 	sim.Reset()
 	if ctx.Done() != nil {
 		// A cancelable run threads its context into the replay's event
@@ -385,11 +329,11 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 		sim.SetContext(ctx)
 	}
 	var acc *metrics.Accumulator
-	if !pl.opts.keepTrace && pl.opts.simulate == nil && pl.opts.analyze == nil {
+	if !pl.opts.keepTrace {
 		acc = metrics.NewAccumulator()
 		sim.SetDeliverySink(acc.Add)
 	}
-	nocRes, err := simulate(sim, pl.app.Graph, placed, pl.arch)
+	nocRes, err := sc.injectAndRun(sim, pl.app.Graph, placed, pl.arch)
 	if err != nil {
 		return nil, err
 	}
@@ -406,11 +350,7 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 	if acc != nil {
 		rep.Metrics = acc.Report(pl.app.Graph.DurationMs)
 	} else {
-		analyze := pl.opts.analyze
-		if analyze == nil {
-			analyze = metrics.Analyze
-		}
-		rep.Metrics = analyze(nocRes.Deliveries, pl.app.Graph.DurationMs)
+		rep.Metrics = metrics.Analyze(nocRes.Deliveries, pl.app.Graph.DurationMs)
 	}
 	pl.observe(obs, StageEvent{Stage: StageAnalyze, Technique: res.Technique, Elapsed: time.Since(start), Metrics: &rep.Metrics})
 

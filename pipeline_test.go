@@ -174,33 +174,6 @@ func TestObserverSeesAllStages(t *testing.T) {
 	}
 }
 
-func TestWithPlacementOverride(t *testing.T) {
-	app, err := BuildSynthetic(AppConfig{Seed: 6, DurationMs: 100}, 1, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch := ForNeurons(app.Graph.Neurons, 10)
-
-	var raw Assignment
-	pl, err := NewPipeline(app, arch,
-		WithPlacement(IdentityPlacement),
-		WithObserver(ObserverFunc(func(ev StageEvent) {
-			if ev.Stage == StagePartition {
-				raw = ev.Partition.Assign.Clone()
-			}
-		})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := pl.Run(context.Background(), GreedyPartitioner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep.Assignment, raw) {
-		t.Fatal("identity placement must keep the partitioner's labels")
-	}
-}
-
 func TestPipelineHonorsCancelledContext(t *testing.T) {
 	app, err := BuildSynthetic(AppConfig{Seed: 7, DurationMs: 100}, 1, 20)
 	if err != nil {
