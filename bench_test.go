@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/genapp"
+	"repro/internal/metrics"
 	"repro/internal/noc"
 	"repro/internal/partition"
 )
@@ -311,9 +312,10 @@ func BenchmarkNoCReplay(b *testing.B) {
 }
 
 // BenchmarkRunSeeds measures a 16-seed PSO sweep on one warm session
-// through a single lane (WithWorkers(1)): one simulator and one injection
-// scratch serve every seed, so the number isolates per-seed replay and
-// analysis cost from sweep scheduling.
+// through a single lane (WithWorkers(1)): every seed draws the same
+// pooled replay context (simulator, injection scratch, accumulator), so
+// the number isolates per-seed replay and analysis cost from sweep
+// scheduling.
 func BenchmarkRunSeeds(b *testing.B) {
 	app, err := BuildSynthetic(AppConfig{Seed: 4, DurationMs: 150}, 2, 100)
 	if err != nil {
@@ -334,6 +336,48 @@ func BenchmarkRunSeeds(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAnalyze measures the one analysis fold on its own: the kept
+// trace of a greedy WithTrace run (gen:modular:n=512 on the tree
+// interconnect) folded through a reset metrics.Accumulator, which is the
+// work every run's delivery sink does during replay. Run it with
+// -benchmem: a warm fold allocates nothing.
+func BenchmarkAnalyze(b *testing.B) {
+	app, err := BuildApp("gen:modular:n=512", AppConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	arch, err := NewArch("tree", app.Graph, ArchSpec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := NewPipeline(app, arch, WithTrace(true))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := pl.Run(context.Background(), GreedyPartitioner)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var acc metrics.Accumulator
+	fold := func() {
+		acc.Reset(arch.Crossbars)
+		for _, d := range rep.Deliveries {
+			acc.Add(d)
+		}
+	}
+	fold() // grow the stream table once, as a warm session's has
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fold()
+	}
+	b.StopTimer()
+	if got := acc.Report(app.Graph.DurationMs); got != rep.Metrics {
+		b.Fatalf("fold of the kept trace diverges from the run's metrics:\n got %+v\nwant %+v", got, rep.Metrics)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rep.Deliveries)), "ns/delivery")
 }
 
 // BenchmarkPlacement measures PlaceCrossbars at growing crossbar counts on

@@ -8,7 +8,8 @@
 package metrics
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/noc"
 )
@@ -46,62 +47,27 @@ type Report struct {
 	ThroughputPerMs float64
 }
 
-// Analyze computes the full metric report from a delivery trace.
-// durationMs is the wall-clock length of the SNN run that produced the
-// traffic; it only affects ThroughputPerMs. The trace may be in any order;
-// deliveries are re-sorted by arrival cycle.
-func Analyze(deliveries []noc.Delivery, durationMs int64) Report {
-	var r Report
-	r.Delivered = int64(len(deliveries))
-	if len(deliveries) == 0 {
-		return r
-	}
-
-	sorted := make([]noc.Delivery, len(deliveries))
-	copy(sorted, deliveries)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].ArriveCycle < sorted[j].ArriveCycle
-	})
-
-	// Latency.
-	var totalLat int64
-	for _, d := range sorted {
-		lat := d.Latency()
-		totalLat += lat
-		if lat > r.MaxLatencyCycles {
-			r.MaxLatencyCycles = lat
-		}
-	}
-	r.AvgLatencyCycles = float64(totalLat) / float64(len(sorted))
-
-	// Disorder: per destination crossbar, count arrivals whose creation
-	// time precedes the maximum creation time already seen.
-	r.DisorderCount = disorderCount(sorted)
-	r.DisorderFrac = float64(r.DisorderCount) / float64(len(sorted))
-
-	// ISI distortion: per (source neuron, destination crossbar) stream.
-	r.ISIAvgCycles, r.ISIMaxCycles, r.ISICount = isiDistortion(sorted)
-
-	if durationMs > 0 {
-		r.ThroughputPerMs = float64(len(sorted)) / float64(durationMs)
-	}
-	return r
-}
-
-// disorderCount counts spikes arriving out of creation order at each
-// destination. The input must be sorted by arrival cycle.
-func disorderCount(sorted []noc.Delivery) int64 {
-	maxCreated := map[int]int64{}
-	var count int64
-	for _, d := range sorted {
-		if prev, ok := maxCreated[d.Dst]; ok && d.CreatedCycle < prev {
-			count++
-		}
-		if prev, ok := maxCreated[d.Dst]; !ok || d.CreatedCycle > prev {
-			maxCreated[d.Dst] = d.CreatedCycle
-		}
-	}
-	return count
+// Accumulator computes the metric report from a delivery stream without
+// retaining the trace: it keeps only per-destination high-water marks
+// (disorder) and the previous delivery per spike stream (ISI), so memory
+// is O(streams) instead of O(deliveries). Feed it deliveries in arrival
+// order — exactly the order the simulator emits them (e.g. via
+// noc.Simulator.SetDeliverySink); a trace in any other order is first
+// stably sorted by ArriveCycle. The zero value is ready after Reset, and
+// Reset keeps the stream table's storage, so one accumulator serves any
+// number of runs.
+type Accumulator struct {
+	delivered int64
+	totalLat  int64
+	maxLat    int64
+	disorder  int64
+	// maxCreated[dst] is the latest creation cycle seen at destination
+	// dst, math.MinInt64 before its first delivery.
+	maxCreated []int64
+	last       map[stream]streamMark
+	isiTotal   int64
+	isiMax     int64
+	isiCount   int64
 }
 
 // stream identifies a source-neuron-to-destination-crossbar spike stream.
@@ -110,70 +76,25 @@ type stream struct {
 	dst    int
 }
 
-// isiDistortion compares source and destination inter-spike intervals per
-// stream. The input must be sorted by arrival cycle so destination ISIs
-// reflect arrival order.
-func isiDistortion(sorted []noc.Delivery) (avg float64, max int64, n int64) {
-	byStream := map[stream][]noc.Delivery{}
-	for _, d := range sorted {
-		k := stream{d.SrcNeuron, d.Dst}
-		byStream[k] = append(byStream[k], d)
-	}
-	var total int64
-	for _, ds := range byStream {
-		for i := 1; i < len(ds); i++ {
-			srcISI := ds[i].CreatedCycle - ds[i-1].CreatedCycle
-			dstISI := ds[i].ArriveCycle - ds[i-1].ArriveCycle
-			dist := srcISI - dstISI
-			if dist < 0 {
-				dist = -dist
-			}
-			total += dist
-			if dist > max {
-				max = dist
-			}
-			n++
-		}
-	}
-	if n > 0 {
-		avg = float64(total) / float64(n)
-	}
-	return avg, max, n
-}
-
-// Accumulator computes the same Report as Analyze from a delivery stream,
-// without retaining the trace: it keeps only per-destination high-water
-// marks (disorder) and the previous delivery per spike stream (ISI), so
-// memory is O(streams) instead of O(deliveries). Feed it deliveries in
-// arrival order — exactly the order the simulator emits them (e.g. via
-// noc.Simulator.SetDeliverySink) — and the resulting Report is
-// bit-identical to Analyze over the accumulated trace: Analyze's stable
-// sort of an already arrival-ordered trace is the identity, and every
-// aggregate is formed from the same integer totals in the same order.
-type Accumulator struct {
-	delivered  int64
-	totalLat   int64
-	maxLat     int64
-	disorder   int64
-	maxCreated map[int]int64
-	last       map[stream]streamMark
-	isiTotal   int64
-	isiMax     int64
-	isiCount   int64
-}
-
 // streamMark is the per-stream state the ISI update needs from the
 // previous delivery — just the two cycle stamps, not the whole Delivery.
 type streamMark struct {
 	created, arrive int64
 }
 
-// NewAccumulator returns an empty streaming analyzer.
-func NewAccumulator() *Accumulator {
-	return &Accumulator{
-		maxCreated: map[int]int64{},
-		last:       map[stream]streamMark{},
+// Reset empties the accumulator for a run whose deliveries address
+// destinations 0..endpoints-1.
+func (a *Accumulator) Reset(endpoints int) {
+	maxCreated := slices.Grow(a.maxCreated[:0], endpoints)[:endpoints]
+	for i := range maxCreated {
+		maxCreated[i] = math.MinInt64
 	}
+	last := a.last
+	if last == nil {
+		last = map[stream]streamMark{}
+	}
+	clear(last)
+	*a = Accumulator{maxCreated: maxCreated, last: last}
 }
 
 // Add folds one delivery into the running metrics. Deliveries must be
@@ -186,12 +107,11 @@ func (a *Accumulator) Add(d noc.Delivery) {
 		a.maxLat = lat
 	}
 
-	// Disorder, replicating disorderCount's update rule per destination.
-	prev, ok := a.maxCreated[d.Dst]
-	if ok && d.CreatedCycle < prev {
+	// Disorder: an arrival created before the latest creation already
+	// seen at its destination is out of order.
+	if prev := a.maxCreated[d.Dst]; d.CreatedCycle < prev {
 		a.disorder++
-	}
-	if !ok || d.CreatedCycle > prev {
+	} else {
 		a.maxCreated[d.Dst] = d.CreatedCycle
 	}
 
@@ -213,8 +133,9 @@ func (a *Accumulator) Add(d noc.Delivery) {
 	a.last[k] = streamMark{d.CreatedCycle, d.ArriveCycle}
 }
 
-// Report finalizes the streamed metrics; durationMs only affects
-// ThroughputPerMs, as in Analyze.
+// Report finalizes the streamed metrics. durationMs is the wall-clock
+// length of the SNN run that produced the traffic; it only affects
+// ThroughputPerMs.
 func (a *Accumulator) Report(durationMs int64) Report {
 	var r Report
 	r.Delivered = a.delivered

@@ -37,7 +37,9 @@ func (Greedy) Partition(p *Problem) (Assignment, error) {
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(weight[y], weight[x]) })
+	// Heaviest first, ties in index order: a total order, so an unstable
+	// sort yields what a stable sort of the identity by weight would.
+	slices.SortFunc(order, func(x, y int) int { return cmp.Or(cmp.Compare(weight[y], weight[x]), cmp.Compare(x, y)) })
 
 	// gain[k] is the traffic to and from already-placed neighbors on k,
 	// scattered in one pass over the neuron's adjacency.

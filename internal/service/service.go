@@ -306,8 +306,8 @@ func (s *Server) execute(ctx context.Context, j *job, gs *groupSession) (*snnmap
 
 	if len(j.spec.TechSeeds) > 0 {
 		// Seed sweep: the single technique re-seeded per entry through
-		// Pipeline.RunSeeds — one pooled fork and one injection scratch
-		// serve the whole sweep, one report row per seed. The sweep has
+		// Pipeline.RunSeeds — every seed runs on a pooled replay context
+		// of the warm session, one report row per seed. The sweep has
 		// no per-run observer, so the SSE stream carries a single sweep
 		// event instead of per-stage ones and the trace a single sweep
 		// span instead of stage spans.

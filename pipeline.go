@@ -64,9 +64,8 @@ type StageEvent struct {
 	Partition *partition.Result
 	// Placement is set after StagePlace: the relabelled assignment.
 	Placement Assignment
-	// NoC is set after StageSimulate. Its Deliveries are empty unless
-	// the pipeline keeps the trace (WithTrace); otherwise the run
-	// streams its analysis.
+	// NoC is set after StageSimulate. Its Deliveries are the kept trace
+	// under WithTrace and empty otherwise.
 	NoC *noc.Result
 	// Metrics is set after StageAnalyze.
 	Metrics *MetricsReport
@@ -106,9 +105,9 @@ func WithTrace(keep bool) Option {
 
 // WithStreamingDelivery is a no-op kept for source compatibility.
 //
-// Deprecated: streaming analysis is automatic. Every run without
-// WithTrace computes its metrics from a metrics.Accumulator fed by the
-// simulator's delivery sink and never allocates the trace.
+// Deprecated: streaming analysis is automatic. Every run computes its
+// metrics from a metrics.Accumulator fed by the simulator's delivery
+// sink, and only a WithTrace run keeps the trace.
 func WithStreamingDelivery(bool) Option {
 	return func(*pipelineOptions) {}
 }
@@ -140,9 +139,10 @@ func WithObserver(obs Observer) Option {
 // the unit of reuse a sweep (or a future mapping server) holds per grid
 // cell instead of paying construction on every run.
 //
-// Every run draws a simulator from an internal pool (forked from the
-// session prototype, sharing its immutable topology and route table), so
-// concurrent runs never contend on simulator state and a warm session's
+// Every run draws a replay context from an internal pool — a simulator
+// forked from the session prototype (sharing its immutable topology and
+// route table), its injection scratch and its metrics accumulator — so
+// concurrent runs never contend on replay state and a warm session's
 // reports stay byte-identical to those of single-use sessions.
 type Pipeline struct {
 	app  *App
@@ -153,8 +153,25 @@ type Pipeline struct {
 	counts  []int64 // per-neuron spike counts, shared across runs
 
 	proto     *noc.Simulator
-	sims      sync.Pool
+	replays   sync.Pool  // of *replay
 	singleton []noc.Mask // prefilled destination-mask table, shared by every run
+}
+
+// replay is the pooled per-run interconnect context of a session: the
+// simulator, the scratch that injects traffic into it, and the
+// accumulator its delivery sink feeds. A run holds one exclusively, and
+// everything in it is reset, not reallocated, by the next run.
+type replay struct {
+	sim *noc.Simulator
+	sc  trafficScratch
+	acc metrics.Accumulator
+	add func(noc.Delivery) // acc.Add, bound once so setting the sink allocates nothing
+}
+
+func (pl *Pipeline) newReplay(sim *noc.Simulator) *replay {
+	r := &replay{sim: sim, sc: trafficScratch{singleton: pl.singleton}}
+	r.add = r.acc.Add
+	return r
 }
 
 // NewPipeline builds a warm mapping session for the application and
@@ -182,8 +199,8 @@ func NewPipeline(app *App, arch Arch, opts ...Option) (*Pipeline, error) {
 	app.Graph.CSR() // force the memoized adjacency build into the session setup
 	pl.counts = app.Graph.SpikeCounts()
 	pl.singleton = newSingletonTable(arch.Crossbars)
-	pl.sims.New = func() any { return pl.proto.Fork() }
-	pl.sims.Put(pl.proto)
+	pl.replays.New = func() any { return pl.newReplay(pl.proto.Fork()) }
+	pl.replays.Put(pl.newReplay(pl.proto))
 	return pl, nil
 }
 
@@ -245,22 +262,17 @@ func (pl *Pipeline) Run(ctx context.Context, pt Partitioner) (*Report, error) {
 // SSE feed per job on a pipeline held in a server's session pool):
 // pipelines are pooled per (app, arch) while observers stay per request.
 func (pl *Pipeline) RunObserved(ctx context.Context, pt Partitioner, obs Observer) (*Report, error) {
-	sim := pl.sims.Get().(*noc.Simulator)
-	defer pl.sims.Put(sim)
-	return pl.runWith(ctx, sim, &trafficScratch{singleton: pl.singleton}, pt, obs)
+	r := pl.replays.Get().(*replay)
+	defer pl.replays.Put(r)
+	return pl.runWith(ctx, r, pt, obs)
 }
 
-// runWith is the staged run on a caller-provided simulator and injection
-// scratch. It is the common core of RunObserved (which draws both from
-// the session pool per call) and RunSeeds (which holds one of each per
-// sweep worker across a whole seed chunk).
-//
-// The analysis route follows from whether the delivery trace is kept:
-// without WithTrace, the simulator streams every delivery into a
-// metrics.Accumulator and the trace is never built; with it, the trace
-// is kept and metrics.Analyze reads it. Both routes report
-// bit-identical metrics (see TestPipelineStreamingMatchesTrace).
-func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *trafficScratch, pt Partitioner, obs Observer) (*Report, error) {
+// runWith is the staged run on a replay context held for the whole run.
+// The simulator streams every delivery, in arrival order, into the
+// context's accumulator, which yields the run's metrics; WithTrace only
+// tees the stream into the report's trace, so a traced run is analyzed
+// exactly like an untraced one (see TestPipelineStreamingMatchesTrace).
+func (pl *Pipeline) runWith(ctx context.Context, r *replay, pt Partitioner, obs Observer) (*Report, error) {
 	if pt == nil {
 		return nil, errors.New("snnmap: nil partitioner")
 	}
@@ -292,7 +304,7 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 	// res is never mutated after the StagePartition event, so an observer
 	// retaining it keeps the partitioner's raw assignment to compare
 	// against the placed one.
-	placed, err := partition.PlaceCrossbarsCtx(ctx, pl.problem, res.Assign, sim.HopDistance)
+	placed, err := partition.PlaceCrossbarsCtx(ctx, pl.problem, res.Assign, r.sim.HopDistance)
 	if err != nil {
 		return nil, err
 	}
@@ -322,21 +334,27 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 
 	// Stage 3 — simulate.
 	start = time.Now()
+	sim := r.sim
 	sim.Reset()
 	if ctx.Done() != nil {
 		// A cancelable run threads its context into the replay's event
 		// loop; sims without one skip the polling entirely.
 		sim.SetContext(ctx)
 	}
-	var acc *metrics.Accumulator
-	if !pl.opts.keepTrace {
-		acc = metrics.NewAccumulator()
-		sim.SetDeliverySink(acc.Add)
+	r.acc.Reset(pl.arch.Crossbars)
+	if pl.opts.keepTrace {
+		sim.SetDeliverySink(func(d noc.Delivery) {
+			r.acc.Add(d)
+			rep.Deliveries = append(rep.Deliveries, d)
+		})
+	} else {
+		sim.SetDeliverySink(r.add)
 	}
-	nocRes, err := sc.injectAndRun(sim, pl.app.Graph, placed, pl.arch)
+	nocRes, err := r.sc.injectAndRun(sim, pl.app.Graph, placed, pl.arch)
 	if err != nil {
 		return nil, err
 	}
+	nocRes.Deliveries = rep.Deliveries
 	rep.NoC = nocRes.Stats
 	rep.GlobalEnergyPJ = nocRes.Stats.EnergyPJ
 	rep.TotalEnergyPJ = rep.LocalEnergyPJ + rep.GlobalEnergyPJ
@@ -347,24 +365,9 @@ func (pl *Pipeline) runWith(ctx context.Context, sim *noc.Simulator, sc *traffic
 
 	// Stage 4 — analyze.
 	start = time.Now()
-	if acc != nil {
-		rep.Metrics = acc.Report(pl.app.Graph.DurationMs)
-	} else {
-		rep.Metrics = metrics.Analyze(nocRes.Deliveries, pl.app.Graph.DurationMs)
-	}
+	rep.Metrics = r.acc.Report(pl.app.Graph.DurationMs)
 	pl.observe(obs, StageEvent{Stage: StageAnalyze, Technique: res.Technique, Elapsed: time.Since(start), Metrics: &rep.Metrics})
-
-	if pl.opts.keepTrace {
-		rep.Deliveries = nocRes.Deliveries
-	}
 	return rep, nil
-}
-
-// engineConfig derives the engine configuration of the pipeline's own
-// sweeps. The per-run timeout is enforced inside Run (cooperatively), not
-// by abandoning engine jobs, so warm simulators are never left mid-replay.
-func (pl *Pipeline) engineConfig() engine.Config {
-	return engine.Config{Workers: pl.opts.workers}
 }
 
 // Compare runs several techniques through the warm session as one engine
@@ -372,35 +375,19 @@ func (pl *Pipeline) engineConfig() engine.Config {
 // order. Per-technique failures are aggregated: the returned error joins
 // every failing technique's error rather than reporting only the first.
 func (pl *Pipeline) Compare(ctx context.Context, techniques []Partitioner) ([]*Report, error) {
-	results := engine.Sweep(ctx, pl.engineConfig(), techniques,
-		func(ctx context.Context, pt Partitioner) (*Report, error) {
-			return pl.Run(ctx, pt)
-		})
-	out := make([]*Report, len(results))
-	var errs []error
-	for i, r := range results {
-		if r.Err != nil {
-			name := "<nil>"
-			if techniques[i] != nil {
-				name = techniques[i].Name()
-			}
-			errs = append(errs, fmt.Errorf("snnmap: %s on %s: %w", name, pl.app.Name, r.Err))
-			continue
+	return pl.sweep(ctx, techniques, func(i int) string {
+		if techniques[i] == nil {
+			return "<nil>"
 		}
-		out[i] = r.Value
-	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	return out, nil
+		return techniques[i].Name()
+	})
 }
 
 // RunSeeds fans one stochastic technique out across seeds: the technique
-// is re-seeded per entry (via partition.Seeded) and the seeds are split
-// into one contiguous chunk per sweep worker (WithWorkers bounds the
-// pool). Each chunk runs on a single simulator and injection scratch held
-// for the whole chunk, so every seed after the first reuses the
-// simulator's flight free-list and the scratch's multiplicity table.
+// is re-seeded per entry (via partition.Seeded) and the re-seeded
+// techniques run as one engine sweep of Run (WithWorkers bounds the
+// pool). Every run draws a replay context from the session pool, so each
+// seed after a worker's first replays on a warm simulator and scratch.
 // Reports are bit-identical to running each seed through Run and are
 // returned in seed order (see TestRunSeedsMatchesRun); per-seed failures
 // are aggregated into one joined error. Deterministic techniques do not
@@ -414,53 +401,30 @@ func (pl *Pipeline) RunSeeds(ctx context.Context, pt Partitioner, seeds []int64)
 	if !ok {
 		return nil, fmt.Errorf("snnmap: %s is deterministic (does not implement partition.Seeded); RunSeeds would repeat one result", pt.Name())
 	}
-	cfg := pl.engineConfig()
-	k := cfg.Size()
-	if k > len(seeds) {
-		k = len(seeds)
+	pts := make([]Partitioner, len(seeds))
+	for i, s := range seeds {
+		pts[i] = seeded.Reseed(s)
 	}
-	type chunk struct{ lo, hi int }
-	chunks := make([]chunk, 0, k)
-	for i := 0; i < k; i++ {
-		if lo, hi := i*len(seeds)/k, (i+1)*len(seeds)/k; lo < hi {
-			chunks = append(chunks, chunk{lo, hi})
-		}
-	}
-	type seedOut struct {
-		rep *Report
-		err error
-	}
-	results := engine.Sweep(ctx, cfg, chunks,
-		func(ctx context.Context, c chunk) ([]seedOut, error) {
-			sim := pl.sims.Get().(*noc.Simulator)
-			defer pl.sims.Put(sim)
-			sc := &trafficScratch{singleton: pl.singleton}
-			outs := make([]seedOut, 0, c.hi-c.lo)
-			for i := c.lo; i < c.hi; i++ {
-				rep, err := pl.runWith(ctx, sim, sc, seeded.Reseed(seeds[i]), nil)
-				outs = append(outs, seedOut{rep, err})
-			}
-			return outs, nil
-		})
-	out := make([]*Report, len(seeds))
+	return pl.sweep(ctx, pts, func(i int) string {
+		return fmt.Sprintf("%s seed %d", pt.Name(), seeds[i])
+	})
+}
+
+// sweep runs the techniques through Run as one engine sweep and returns
+// the reports in input order, or one error joining every failed run's,
+// each prefixed "snnmap: <label(i)> on <app>". The per-run timeout is
+// enforced inside Run (cooperatively), not by abandoning engine jobs, so
+// pooled replay contexts are never left mid-replay.
+func (pl *Pipeline) sweep(ctx context.Context, pts []Partitioner, label func(i int) string) ([]*Report, error) {
+	results := engine.Sweep(ctx, engine.Config{Workers: pl.opts.workers}, pts, pl.Run)
+	out := make([]*Report, len(results))
 	var errs []error
-	for ci, r := range results {
-		c := chunks[ci]
+	for i, r := range results {
 		if r.Err != nil {
-			// The whole chunk was never run (cancellation before dispatch,
-			// or a panic captured by the engine): attribute it to each seed.
-			for i := c.lo; i < c.hi; i++ {
-				errs = append(errs, fmt.Errorf("snnmap: %s seed %d on %s: %w", pt.Name(), seeds[i], pl.app.Name, r.Err))
-			}
+			errs = append(errs, fmt.Errorf("snnmap: %s on %s: %w", label(i), pl.app.Name, r.Err))
 			continue
 		}
-		for j, so := range r.Value {
-			if so.err != nil {
-				errs = append(errs, fmt.Errorf("snnmap: %s seed %d on %s: %w", pt.Name(), seeds[c.lo+j], pl.app.Name, so.err))
-				continue
-			}
-			out[c.lo+j] = so.rep
-		}
+		out[i] = r.Value
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)

@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// TestRunSeedsMatchesRun is RunSeeds' identity guarantee: chunking seeds
-// onto per-worker simulators (with reused injection scratch) must produce
-// reports deep-equal to re-seeding the technique and running each seed
-// through Run, in seed order, at several worker counts.
+// TestRunSeedsMatchesRun is RunSeeds' identity guarantee: sweeping the
+// re-seeded technique over pooled replay contexts (simulator, injection
+// scratch and accumulator reused across seeds) must produce reports
+// deep-equal to re-seeding the technique and running each seed through
+// Run, in seed order, at several worker counts.
 func TestRunSeedsMatchesRun(t *testing.T) {
 	app, err := BuildSynthetic(AppConfig{Seed: 4, DurationMs: 150}, 1, 40)
 	if err != nil {
@@ -51,7 +52,7 @@ func TestRunSeedsMatchesRun(t *testing.T) {
 			t.Fatalf("workers=%d rerun: %v", workers, err)
 		}
 		if !reflect.DeepEqual(again, want) {
-			t.Fatalf("workers=%d: second sweep diverged (state leaked across chunks)", workers)
+			t.Fatalf("workers=%d: second sweep diverged (state leaked across pooled replays)", workers)
 		}
 	}
 

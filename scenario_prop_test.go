@@ -25,8 +25,8 @@ import (
 //     crossbar (paper Eq. 4–5);
 //  4. Eq. 7–8 consistency — the analytical fitness F equals the replayed
 //     per-synapse interconnect traffic;
-//  5. streaming ≡ trace — the default streaming analysis reports exactly
-//     what a WithTrace session's metrics.Analyze over the kept trace
+//  5. streaming ≡ trace — a default session reports exactly what a
+//     WithTrace session, whose delivery sink also keeps the trace,
 //     reports.
 //
 // The hypergraph-cut and incremental-remap invariants (delta moves ≡ the
@@ -175,10 +175,9 @@ func TestScenarioInvariants(t *testing.T) {
 							}
 						}
 
-						// Invariant 5 — streaming ≡ trace: the default
-						// session's streamed metrics match a WithTrace
-						// session's Analyze over the kept trace, on every
-						// field but the trace itself.
+						// Invariant 5 — streaming ≡ trace: keeping the
+						// trace changes no field of the report but the
+						// trace itself.
 						plTrace, err := NewPipeline(app, arch, WithTrace(true))
 						if err != nil {
 							t.Fatal(err)

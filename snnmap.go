@@ -191,26 +191,19 @@ func SimulateTraffic(g *SpikeGraph, assign Assignment, arch Arch) (*noc.Result, 
 	if err != nil {
 		return nil, err
 	}
-	return simulateTrafficOn(sim, g, assign, arch)
-}
-
-// simulateTrafficOn is SimulateTraffic on a caller-provided simulator
-// (freshly constructed or Reset), letting one simulator per pipeline run
-// serve both placement distance queries and traffic replay.
-func simulateTrafficOn(sim *noc.Simulator, g *SpikeGraph, assign Assignment, arch Arch) (*noc.Result, error) {
 	return new(trafficScratch).injectAndRun(sim, g, assign, arch)
 }
 
-// trafficScratch is the reusable injection scratch behind
-// simulateTrafficOn: destination multiplicity, the touched-crossbar list,
-// the single-crossbar destination-mask table and the word arena behind
-// multicast destination masks. A zero value works
-// (everything is sized on first use); a warm Pipeline seeds one scratch
-// per run — per sweep worker in RunSeeds — from a session-wide
-// prefilled singleton table so repeated replays allocate no injection
-// scratch at all. A scratch is single-goroutine state except
-// for the singleton table, which may be shared across scratches only when
-// fully prefilled (newSingletonTable): lazy fills write the table.
+// trafficScratch is the reusable injection scratch of a replay:
+// destination multiplicity, the touched-crossbar list, the
+// single-crossbar destination-mask table and the word arena behind
+// multicast destination masks. A zero value works (everything is sized on
+// first use); a warm Pipeline keeps one scratch in each pooled replay
+// context, seeded with the session-wide prefilled singleton table, so
+// repeated replays allocate no injection scratch at all. A scratch is
+// single-goroutine state except for the singleton table, which may be
+// shared across scratches only when fully prefilled (newSingletonTable):
+// lazy fills write the table.
 type trafficScratch struct {
 	multiplicity []int
 	touched      []int
