@@ -14,7 +14,9 @@
 // benchmark present in both artifacts slowed down, or (when both sides
 // were run with -benchmem) raised its allocs/op, by more than the
 // threshold; benchmarks present on only one side are reported but never
-// fatal, so adding or retiring benchmarks cannot wedge the gate.
+// fatal, so adding or retiring benchmarks cannot wedge the gate. Names
+// are paired across GOMAXPROCS: the -N suffix `go test` appends at
+// GOMAXPROCS N > 1 is stripped when matching (see pairNames).
 package main
 
 import (
@@ -217,14 +219,19 @@ func runCompare(args []string, stdout io.Writer) error {
 // ran without -benchmem. Returns the regressed benchmarks, each tagged
 // with the metric that regressed.
 func writeDeltaTable(stdout io.Writer, base, head *Artifact, threshold float64) []string {
+	pairs := pairNames(base, head)
 	names := make([]string, 0, len(head.Benchmarks))
 	for name := range head.Benchmarks {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	compared := map[string]bool{}
+	for _, b := range pairs {
+		compared[b] = true
+	}
 	var gone []string
 	for name := range base.Benchmarks {
-		if _, ok := head.Benchmarks[name]; !ok {
+		if !compared[name] {
 			gone = append(gone, name)
 		}
 	}
@@ -237,7 +244,7 @@ func writeDeltaTable(stdout io.Writer, base, head *Artifact, threshold float64) 
 	var okCount, badCount, newCount int
 	for _, name := range names {
 		h := head.Benchmarks[name]
-		b, present := base.Benchmarks[name]
+		b, present := base.Benchmarks[pairs[name]]
 		if !present {
 			fmt.Fprintf(stdout, row, "NEW", name, "-", num(h.NsPerOp, true), "-",
 				"-", metric(h, "B/op"), "-", metric(h, "allocs/op"))
@@ -273,6 +280,38 @@ func writeDeltaTable(stdout io.Writer, base, head *Artifact, threshold float64) 
 	fmt.Fprintf(stdout, "summary: %d compared (%d ok, %d regressed), %d new, %d gone; threshold %.0f%%\n",
 		okCount+badCount, okCount, badCount, newCount, len(gone), threshold*100)
 	return regressions
+}
+
+// pairNames maps each head benchmark to the base benchmark it is judged
+// against: the one of the same name or, failing that, the one whose name
+// matches once each side's GOMAXPROCS suffix is stripped — so a record
+// taken at one GOMAXPROCS still gates a run at another. Head benchmarks
+// without a counterpart are absent.
+func pairNames(base, head *Artifact) map[string]string {
+	stripped := make(map[string]string, len(base.Benchmarks))
+	for name := range base.Benchmarks {
+		stripped[stripProcs(name, base.Environment.GOMAXPROCS)] = name
+	}
+	pairs := make(map[string]string, len(head.Benchmarks))
+	for name := range head.Benchmarks {
+		if _, ok := base.Benchmarks[name]; ok {
+			pairs[name] = name
+		} else if b, ok := stripped[stripProcs(name, head.Environment.GOMAXPROCS)]; ok {
+			pairs[name] = b
+		}
+	}
+	return pairs
+}
+
+// stripProcs drops the "-N" suffix `go test -bench` appends to every
+// benchmark name when GOMAXPROCS is N > 1. At GOMAXPROCS 1 (or unknown)
+// nothing was appended, so a name that itself ends in -<digits> — a
+// sub-benchmark "k-4" — is left as it is.
+func stripProcs(name string, procs int) string {
+	if procs <= 1 {
+		return name
+	}
+	return strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 }
 
 // metric formats one of an entry's custom metrics, "-" when absent.

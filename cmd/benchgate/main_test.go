@@ -240,3 +240,47 @@ func TestLoadCommittedRecord(t *testing.T) {
 		t.Fatalf("empty record error = %v", err)
 	}
 }
+
+// TestCompareStripsGOMAXPROCSSuffix pins name pairing across GOMAXPROCS:
+// a run at GOMAXPROCS 4 (every name suffixed -4) is gated against a
+// record taken at GOMAXPROCS 1 (no suffixes), and a sub-benchmark whose
+// own name ends in -<digits> keeps it.
+func TestCompareStripsGOMAXPROCSSuffix(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, procs int, names ...string) string {
+		t.Helper()
+		var entries []string
+		for _, n := range names {
+			entries = append(entries, fmt.Sprintf(`%q:{"iterations":3,"ns_per_op":1000}`, n))
+		}
+		path := filepath.Join(dir, name)
+		art := fmt.Sprintf(`{"environment":{"gomaxprocs":%d},"benchmarks":{%s}}`, procs, strings.Join(entries, ","))
+		if err := os.WriteFile(path, []byte(art), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	record := write("record.json", 1, "BenchmarkAnalyze", "BenchmarkRing/vnodes-64", "BenchmarkRing/vnodes")
+	head := write("head.json", 4, "BenchmarkAnalyze-4", "BenchmarkRing/vnodes-64-4", "BenchmarkRing/vnodes-4")
+	var out strings.Builder
+	if err := run([]string{"compare", "-base", record, "-head", head, "-threshold", "10"}, nil, &out); err != nil {
+		t.Fatalf("compare: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "summary: 3 compared (3 ok, 0 regressed), 0 new, 0 gone") {
+		t.Fatalf("suffixed names were not paired with the record:\n%s", out.String())
+	}
+
+	// At GOMAXPROCS 1 nothing is stripped: "vnodes-64" is its own name,
+	// not "vnodes" at GOMAXPROCS 64.
+	if got := stripProcs("BenchmarkRing/vnodes-64", 1); got != "BenchmarkRing/vnodes-64" {
+		t.Fatalf("stripProcs at GOMAXPROCS 1 = %q", got)
+	}
+	out.Reset()
+	one := write("one.json", 1, "BenchmarkRing/vnodes-64")
+	if err := run([]string{"compare", "-base", write("base.json", 1, "BenchmarkRing/vnodes"), "-head", one}, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "0 compared (0 ok, 0 regressed), 1 new, 1 gone") {
+		t.Fatalf("a GOMAXPROCS 1 sub-benchmark ending in -64 was mangled:\n%s", out.String())
+	}
+}

@@ -7,8 +7,11 @@ package fleet
 // names in one block is the registry contract: chaos tests iterate this
 // set to assert every site actually fired.
 const (
-	// fpProxy fires in the router's node-facing RPC helper, covering
-	// submit/status/cancel/result proxying.
+	// fpProxy fires on every router-to-worker job RPC built by proxied:
+	// each attempt of a job or sub-batch POST (requeue resubmissions
+	// included), the status GET, the cancel DELETE, the trace GET and the
+	// batch-rollback DELETE. Result and SSE relays and the orphan cancel
+	// do not fire it.
 	fpProxy = "router.proxy"
 	// fpRequeue fires per successor attempt while requeueing a dead
 	// node's routes.

@@ -36,9 +36,18 @@
 package fleet
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/fleet/resilience"
+	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // normalizeBase canonicalizes a peer address into a base URL: a bare
@@ -65,15 +74,100 @@ func normalizeBases(addrs []string) []string {
 	return out
 }
 
-// apiClient is the default client for request/response proxying: bounded
-// end to end so a wedged worker cannot pin router handlers.
-func apiClient() *http.Client {
-	return &http.Client{Timeout: 30 * time.Second}
+// call is one node-to-node request. Every peer call in the fleet —
+// router to worker, router to router, worker to worker — is a call, so
+// each is built, sent, bounded and closed by do and nowhere else.
+type call struct {
+	method, url string
+	// body, when non-nil, is sent as application/json.
+	body []byte
+	// tenant, idemKey and accept, when set, are sent as the X-Tenant,
+	// X-Idempotency-Key and Accept headers.
+	tenant, idemKey, accept string
+	// deadline stamps ctx's deadline as X-Deadline; trace stamps ctx's
+	// span as traceparent. Both stay off on background calls: with clock
+	// skew between nodes, a deadline the receiver reads as past is a 504.
+	deadline, trace bool
+	// timeout bounds the call locally; unlike a ctx deadline it is never
+	// sent to the peer.
+	timeout time.Duration
+	// fault names the fault point fired before the request ("" none).
+	fault string
+	// limit bounds the response body: at most limit+1 bytes are read,
+	// and a body over limit is rejected whole.
+	limit int64
+	// stream, when set, is offered the response first; returning true
+	// means it consumed the body itself (result bytes, SSE frames), so
+	// nothing is buffered.
+	stream func(*http.Response) bool
 }
 
-// streamClient is the default client for SSE relays: no overall timeout
-// (streams live as long as the job), connection setup still bounded by
-// the transport defaults.
-func streamClient() *http.Client {
-	return &http.Client{}
+// reply is a call's answer: status, headers and the bounded body.
+type reply struct {
+	code   int
+	header http.Header
+	body   []byte
+}
+
+// do sends the call with client. A failure before any response (fault
+// point, transport, timeout) leaves reply.code 0; a body that fails to
+// read or runs over the limit keeps the status and headers, with a nil
+// body and the error.
+func (c call) do(ctx context.Context, client *http.Client) (reply, error) {
+	if c.fault != "" {
+		if err := resilience.P(c.fault).FireCtx(ctx); err != nil {
+			return reply{}, err
+		}
+	}
+	rctx := ctx
+	if c.timeout > 0 {
+		var cancel context.CancelFunc
+		rctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
+	}
+	var rd io.Reader
+	if c.body != nil {
+		rd = bytes.NewReader(c.body)
+	}
+	req, err := http.NewRequestWithContext(rctx, c.method, c.url, rd)
+	if err != nil {
+		return reply{}, err
+	}
+	if c.body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	for _, h := range [...][2]string{{"X-Tenant", c.tenant}, {service.IdempotencyKeyHeader, c.idemKey}, {"Accept", c.accept}} {
+		if h[1] != "" {
+			req.Header.Set(h[0], h[1])
+		}
+	}
+	if c.trace {
+		obs.Inject(req.Header, obs.FromContext(ctx))
+	}
+	if c.deadline {
+		resilience.SetDeadlineHeader(req, ctx)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return reply{}, err
+	}
+	defer resp.Body.Close()
+	rep := reply{code: resp.StatusCode, header: resp.Header}
+	if c.stream != nil && c.stream(resp) {
+		return rep, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, c.limit+1))
+	if err == nil && int64(len(body)) > c.limit {
+		err = fmt.Errorf("%s %s: response body over its %d-byte limit", c.method, c.url, c.limit)
+	}
+	if err == nil {
+		rep.body = body
+	}
+	return rep, err
+}
+
+// decode unmarshals a 200 answer's JSON body into v and reports whether
+// it did; any other status, or a body do rejected, is false.
+func (r reply) decode(v any) bool {
+	return r.code == http.StatusOK && json.Unmarshal(r.body, v) == nil
 }

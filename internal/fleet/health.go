@@ -2,14 +2,10 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/fleet/resilience"
 )
 
 // NodeView is one node's entry in the gossiped membership view: its
@@ -177,22 +173,9 @@ func (m *monitor) probeAll() {
 }
 
 func (m *monitor) probe(node string) bool {
-	if resilience.P(fpProbe).Fire() != nil {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), m.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := m.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	rep, err := call{method: http.MethodGet, url: node + "/healthz", fault: fpProbe,
+		timeout: m.timeout, limit: maxSpecBytes}.do(context.Background(), m.client)
+	return err == nil && rep.code == http.StatusOK
 }
 
 // gossipAll merges peer routers' membership views: alive evidence newer
@@ -200,32 +183,19 @@ func (m *monitor) probe(node string) bool {
 // failure streak), closing observation gaps between routers.
 func (m *monitor) gossipAll() {
 	for _, peer := range m.gossip {
-		ctx, cancel := context.WithTimeout(context.Background(), m.timeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/fleet", nil)
-		if err != nil {
-			cancel()
+		rep, _ := call{method: http.MethodGet, url: peer + "/v1/fleet",
+			timeout: m.timeout, limit: maxSpecBytes}.do(context.Background(), m.client)
+		var fv struct {
+			Nodes []NodeView `json:"nodes"`
+		}
+		if !rep.decode(&fv) {
 			continue
 		}
-		resp, err := m.client.Do(req)
-		if err != nil {
-			cancel()
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			var fv struct {
-				Nodes []NodeView `json:"nodes"`
-			}
-			if json.NewDecoder(resp.Body).Decode(&fv) == nil {
-				for _, nv := range fv.Nodes {
-					if nv.State == nodeAlive {
-						m.mergeAlive(nv.Addr, nv.LastSeen, nv.Incarnation)
-					}
-				}
+		for _, nv := range fv.Nodes {
+			if nv.State == nodeAlive {
+				m.mergeAlive(nv.Addr, nv.LastSeen, nv.Incarnation)
 			}
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		cancel()
 	}
 }
 

@@ -1,9 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -40,37 +40,38 @@ func NewPeerFetcher(self string, peers []string, vnodes int, client *http.Client
 			// We are the owner (or alone): the local tier already missed.
 			return nil, false
 		}
-		var table *snnmap.Table
-		err := retry.Do(ctx, func(int) error {
-			if err := resilience.P(fpPeerFetch).FireCtx(ctx); err != nil {
-				return err
-			}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/cache/"+hash, nil)
-			if err != nil {
-				return resilience.Permanent(err)
-			}
-			// The submitter's deadline bounds the fetch too: a peer hop
-			// must never outlive the request it is trying to speed up.
-			resilience.SetDeadlineHeader(req, ctx)
-			resp, err := client.Do(req)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}()
-			if resp.StatusCode != http.StatusOK {
-				// Not cached there (or owner draining): a definitive miss.
-				return resilience.Permanent(fmt.Errorf("peer cache: %s", resp.Status))
-			}
-			t, err := snnmap.ReadTableJSON(resp.Body)
-			if err != nil {
-				return resilience.Permanent(err)
-			}
-			table = t
-			return nil
-		})
-		return table, err == nil && table != nil
+		// The submitter's deadline bounds the fetch too: a peer hop must
+		// never outlive the request it is trying to speed up.
+		table, err := fetchTable(ctx, client, retry, fpPeerFetch, true, owner, hash)
+		return table, err == nil
 	}
+}
+
+// fetchTable pulls one cached table from peer — GET /v1/cache/{hash},
+// decoded by snnmap.ReadTableJSON — under retry, firing fault on every
+// attempt; deadline forwards ctx's deadline. It is the one operation
+// behind the worker's peer tier and the join warmer. Only a request that
+// got no answer is retried: a non-200 status (not cached there, owner
+// draining) or a body that is oversized or undecodable is a definitive
+// miss.
+func fetchTable(ctx context.Context, client *http.Client, retry resilience.Policy, fault string, deadline bool, peer, hash string) (*snnmap.Table, error) {
+	var table *snnmap.Table
+	err := retry.Do(ctx, func(int) error {
+		rep, err := call{method: http.MethodGet, url: peer + "/v1/cache/" + hash,
+			deadline: deadline, fault: fault, limit: maxBatchBytes}.do(ctx, client)
+		switch {
+		case rep.code == 0:
+			return err
+		case err != nil:
+			return resilience.Permanent(err)
+		case rep.code != http.StatusOK:
+			return resilience.Permanent(fmt.Errorf("peer cache %s at %s: %s", hash, peer, http.StatusText(rep.code)))
+		}
+		table, err = snnmap.ReadTableJSON(bytes.NewReader(rep.body))
+		if err != nil {
+			return resilience.Permanent(err)
+		}
+		return nil
+	})
+	return table, err
 }

@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
-	"repro/internal/fleet/resilience"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -130,29 +128,12 @@ func (rt *Router) replicateLoop(interval time.Duration) {
 // silent — the peer may be down, and replication is best-effort by
 // design (the 307 fallback and client retries cover the gap).
 func (rt *Router) pullRoutes(peer string) {
-	if resilience.P(fpReplicate).Fire() != nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/fleet/routes", nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return
-	}
+	rep, _ := call{method: http.MethodGet, url: peer + "/v1/fleet/routes", fault: fpReplicate,
+		timeout: 5 * time.Second, limit: maxBatchBytes}.do(context.Background(), rt.client)
 	var tbl routeTable
-	if json.NewDecoder(io.LimitReader(resp.Body, maxBatchBytes)).Decode(&tbl) != nil {
-		return
+	if rep.decode(&tbl) {
+		rt.mergeRoutes(tbl.Routes)
 	}
-	rt.mergeRoutes(tbl.Routes)
 }
 
 // mergeRoutes folds peer route records into the local table. Records we

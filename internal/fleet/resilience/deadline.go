@@ -15,12 +15,9 @@ import (
 // each hop restarting the clock.
 const DeadlineHeader = "X-Deadline"
 
-// SetDeadlineHeader stamps req with the deadline of ctx (or of req's
-// own context when ctx is nil). No deadline, no header.
+// SetDeadlineHeader stamps req with the deadline of ctx. No deadline,
+// no header.
 func SetDeadlineHeader(req *http.Request, ctx context.Context) {
-	if ctx == nil {
-		ctx = req.Context()
-	}
 	if dl, ok := ctx.Deadline(); ok {
 		req.Header.Set(DeadlineHeader, strconv.FormatInt(dl.UnixMilli(), 10))
 	}

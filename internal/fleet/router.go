@@ -169,11 +169,12 @@ type Router struct {
 	gossipPeers []string
 	peerTokens  map[string]string
 
-	mu     sync.Mutex
-	ring   *Ring
-	seq    int
-	routes map[string]*route
-	order  []string
+	mu       sync.Mutex
+	ring     *Ring
+	seq      int
+	batchSeq int
+	routes   map[string]*route
+	order    []string
 
 	stopRep     chan struct{}
 	stopRepOnce sync.Once
@@ -218,10 +219,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.retry = resilience.Policy{MaxAttempts: 2, BaseDelay: 50 * time.Millisecond, MaxDelay: 300 * time.Millisecond}
 	}
 	if rt.client == nil {
-		rt.client = apiClient()
+		// Bounded end to end, so a wedged worker cannot pin router handlers.
+		rt.client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if rt.stream == nil {
-		rt.stream = streamClient()
+		// No overall timeout: an SSE relay lives as long as its job.
+		rt.stream = &http.Client{}
 	}
 	if rt.now == nil {
 		rt.now = time.Now
@@ -313,6 +316,15 @@ func (rt *Router) nextID() string {
 	return fmt.Sprintf("fleet-%06d", rt.seq)
 }
 
+// nextBatchUnit mints the idempotency unit of a router batch from a
+// sequence of its own, so batches never shift the job ID sequence.
+func (rt *Router) nextBatchUnit() string {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.batchSeq++
+	return fmt.Sprintf("batch-%s-%06d", rt.token, rt.batchSeq)
+}
+
 // newRoute registers an accepted placement under a pre-allocated ID.
 // trace is the router-side span that parented the submission (zero
 // with tracing off).
@@ -344,37 +356,20 @@ func (rt *Router) lookup(id string) (*route, bool) {
 	return ro, ok
 }
 
-// doJSON issues one proxied request against a worker. The caller's
-// deadline rides along as X-Deadline so the worker shares the client's
-// time budget, and the router.proxy fault point fires here — an armed
-// spec surfaces exactly like a network failure, on every proxy path at
-// once. When ctx carries a span its identity rides along as a
-// traceparent header, so the worker-side spans land in the same trace.
-// headers are optional extra key/value pairs.
-func (rt *Router) doJSON(ctx context.Context, method, node, path string, body []byte, tenant string, headers ...string) (*http.Response, error) {
-	if err := resilience.P(fpProxy).FireCtx(ctx); err != nil {
-		return nil, err
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, node+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if tenant != "" {
-		req.Header.Set("X-Tenant", tenant)
-	}
-	for i := 0; i+1 < len(headers); i += 2 {
-		req.Header.Set(headers[i], headers[i+1])
-	}
-	obs.Inject(req.Header, obs.FromContext(ctx))
-	resilience.SetDeadlineHeader(req, ctx)
-	return rt.client.Do(req)
+// proxied is a router-to-worker job RPC: the caller's deadline rides
+// along as X-Deadline so the worker shares the client's time budget, its
+// span as traceparent so the worker-side spans land in the same trace,
+// and the router.proxy fault point fires first — an armed spec surfaces
+// exactly like a network failure, on every proxy path at once.
+func proxied(method, url string, limit int64) call {
+	return call{method: method, url: url, deadline: true, trace: true, fault: fpProxy, limit: limit}
+}
+
+// proxyFailed counts a worker RPC that got no answer: a proxy error, and
+// one more step toward the node's death threshold.
+func (rt *Router) proxyFailed(node string) {
+	rt.metrics.proxyErrors.Inc()
+	rt.mon.reportFailure(node)
 }
 
 // startProxySpan opens a router-side span, continuing the client's
@@ -388,37 +383,24 @@ func (rt *Router) startProxySpan(h http.Header, name string) *obs.Span {
 	return rt.tracer.StartSpan(name, parent)
 }
 
-// postWithRetry POSTs body to one node under the shared retry policy,
-// returning the final HTTP status, response body and headers. Network
-// failures back off and retry (counting toward the node's death
-// threshold each time); any HTTP status is a definitive answer and
-// returns immediately. The idempotency key is what makes the retry
-// safe: if the first attempt's response was lost after the worker
-// accepted, the replay collapses onto the already-accepted job instead
-// of executing twice.
-func (rt *Router) postWithRetry(ctx context.Context, node, path string, body []byte, tenant, idemKey string, limit int64) (code int, rb []byte, hdr http.Header, err error) {
+// postWithRetry POSTs body to one node under the shared retry policy.
+// A failed attempt — no answer, or a body over limit — backs off and
+// retries, counting toward the node's death threshold each time; any
+// HTTP status is a definitive answer and returns immediately. The
+// idempotency key is what makes the retry safe: if the first attempt's
+// response was lost after the worker accepted, the replay collapses onto
+// the already-accepted jobs instead of executing twice.
+func (rt *Router) postWithRetry(ctx context.Context, node, path string, body []byte, tenant, idemKey string, limit int64) (rep reply, err error) {
+	c := proxied(http.MethodPost, node+path, limit)
+	c.body, c.tenant, c.idemKey = body, tenant, idemKey
 	err = rt.retry.Do(ctx, func(int) error {
-		var headers []string
-		if idemKey != "" {
-			headers = []string{service.IdempotencyKeyHeader, idemKey}
+		var cerr error
+		if rep, cerr = c.do(ctx, rt.client); cerr != nil {
+			rt.proxyFailed(node)
 		}
-		resp, derr := rt.doJSON(ctx, http.MethodPost, node, path, body, tenant, headers...)
-		if derr != nil {
-			rt.metrics.proxyErrors.Inc()
-			rt.mon.reportFailure(node)
-			return derr
-		}
-		b, rerr := io.ReadAll(io.LimitReader(resp.Body, limit))
-		resp.Body.Close()
-		if rerr != nil {
-			rt.metrics.proxyErrors.Inc()
-			rt.mon.reportFailure(node)
-			return rerr
-		}
-		code, rb, hdr = resp.StatusCode, b, resp.Header
-		return nil
+		return cerr
 	})
-	return code, rb, hdr, err
+	return rep, err
 }
 
 // submitTo is the spill walk of every submission, a lone job or a
@@ -431,34 +413,29 @@ func (rt *Router) postWithRetry(ctx context.Context, node, path string, body []b
 // shared policy and count toward the node's death threshold; any other
 // status is a definitive answer, relayed without spilling. When no node
 // accepts, node is "" and rf is the refusal to relay (nil when no worker
-// answered at all). unit seeds the per-target idempotency key; "" sends
-// none.
+// answered at all). unit seeds the per-target idempotency key.
 func submitTo[T any](ctx context.Context, rt *Router, candidates []string, path string, body []byte, tenant, unit string) (node string, out T, code int, rf *refusal) {
 	for _, n := range candidates {
-		idemKey := ""
-		if unit != "" {
-			idemKey = resilience.IdempotencyKey(unit, n)
-		}
-		status, rb, hdr, err := rt.postWithRetry(ctx, n, path, body, tenant, idemKey, maxBatchBytes)
+		rep, err := rt.postWithRetry(ctx, n, path, body, tenant, resilience.IdempotencyKey(unit, n), maxBatchBytes)
 		if err != nil {
 			continue // retries exhausted; failures already counted
 		}
-		switch status {
+		switch rep.code {
 		case http.StatusOK, http.StatusAccepted:
 			var v T
-			if json.Unmarshal(rb, &v) != nil {
+			if json.Unmarshal(rep.body, &v) != nil {
 				rt.metrics.proxyErrors.Inc()
 				continue
 			}
-			return n, v, status, nil
+			return n, v, rep.code, nil
 		case http.StatusTooManyRequests:
 			rt.metrics.spills.Inc()
 			fallthrough
 		case http.StatusServiceUnavailable:
-			obs.AddEvent(ctx, "spill", obs.String("node", n), obs.Int("code", status))
-			rf = &refusal{code: status, body: rb, retryAfter: hdr.Get("Retry-After")}
+			obs.AddEvent(ctx, "spill", obs.String("node", n), obs.Int("code", rep.code))
+			rf = &refusal{code: rep.code, body: rep.body, retryAfter: rep.header.Get("Retry-After")}
 		default:
-			return "", out, status, &refusal{code: status, body: rb, contentType: hdr.Get("Content-Type")}
+			return "", out, rep.code, &refusal{code: rep.code, body: rep.body, contentType: rep.header.Get("Content-Type")}
 		}
 	}
 	return "", out, 0, rf
@@ -532,36 +509,28 @@ func (rt *Router) requeueRoute(ro *route, failed string, force bool) bool {
 			rt.metrics.proxyErrors.Inc()
 			continue
 		}
-		code, body, _, err := rt.postWithRetry(ctx, n, "/v1/jobs", ro.specJSON, ro.tenant, resilience.IdempotencyKey(ro.id, n), maxSpecBytes)
-		if err != nil {
+		// Any answer but an acceptance (shed, draining, refused, or no
+		// answer at all) moves on to the next successor.
+		rep, err := rt.postWithRetry(ctx, n, "/v1/jobs", ro.specJSON, ro.tenant, resilience.IdempotencyKey(ro.id, n), maxSpecBytes)
+		var st service.JobStatus
+		if err != nil || (rep.code != http.StatusOK && rep.code != http.StatusAccepted) || json.Unmarshal(rep.body, &st) != nil {
 			continue
 		}
-		switch code {
-		case http.StatusOK, http.StatusAccepted:
-			var st service.JobStatus
-			if json.Unmarshal(body, &st) != nil {
-				continue
-			}
-			ro.node = n
-			ro.remoteID = st.ID
-			ro.last = st
-			ro.terminal = st.State.Terminal()
-			ro.requeues++
-			rt.metrics.requeues.Inc()
-			sp.SetAttr(obs.String("node", n), obs.Int("requeues", ro.requeues))
-			rt.log.Info("route requeued", "job_id", ro.id, "from", failed, "to", n, "trace_id", ro.trace.TraceID.String())
-			// Best-effort cancel of the orphan on the failed node. A true
-			// death makes this a no-op (nothing is listening); a false
-			// positive — the node was alive and merely slow — leaves a
-			// duplicate execution running there, and this is what stops
-			// it, keeping one logical job at one execution fleet-wide.
-			go rt.cancelOrphan(failed, orphanID)
-			return true
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			continue // shed or draining: try the next successor
-		default:
-			continue
-		}
+		ro.node = n
+		ro.remoteID = st.ID
+		ro.last = st
+		ro.terminal = st.State.Terminal()
+		ro.requeues++
+		rt.metrics.requeues.Inc()
+		sp.SetAttr(obs.String("node", n), obs.Int("requeues", ro.requeues))
+		rt.log.Info("route requeued", "job_id", ro.id, "from", failed, "to", n, "trace_id", ro.trace.TraceID.String())
+		// Best-effort cancel of the orphan on the failed node. A true
+		// death makes this a no-op (nothing is listening); a false
+		// positive — the node was alive and merely slow — leaves a
+		// duplicate execution running there, and this is what stops
+		// it, keeping one logical job at one execution fleet-wide.
+		go rt.cancelOrphan(failed, orphanID)
+		return true
 	}
 	sp.SetAttr(obs.String("error", "no successor accepted"))
 	rt.log.Warn("route requeue failed", "job_id", ro.id, "from", failed)
@@ -661,22 +630,20 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	node, remoteID, _ := ro.snapshot()
-	resp, err := rt.doJSON(r.Context(), http.MethodGet, node, "/v1/jobs/"+remoteID, nil, "")
-	if err != nil {
-		rt.metrics.proxyErrors.Inc()
-		rt.mon.reportFailure(node)
-		rt.requeueRoute(ro, node, false)
-		service.WriteJSON(w, http.StatusOK, ro.lastStatus())
-		return
+	rep, err := proxied(http.MethodGet, node+"/v1/jobs/"+remoteID, maxSpecBytes).do(r.Context(), rt.client)
+	if rep.code == 0 {
+		rt.proxyFailed(node)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	if rep.code == 0 || rep.code == http.StatusNotFound {
 		rt.requeueRoute(ro, node, false)
 		service.WriteJSON(w, http.StatusOK, ro.lastStatus())
 		return
 	}
 	var st service.JobStatus
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxSpecBytes)).Decode(&st); err != nil {
+	if err == nil {
+		err = json.Unmarshal(rep.body, &st)
+	}
+	if err != nil {
 		service.WriteError(w, http.StatusBadGateway, "decoding worker status: %v", err)
 		return
 	}
@@ -712,10 +679,9 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	node, remoteID, _ := ro.snapshot()
-	resp, err := rt.doJSON(r.Context(), http.MethodDelete, node, "/v1/jobs/"+remoteID, nil, "")
-	if err != nil {
-		rt.metrics.proxyErrors.Inc()
-		rt.mon.reportFailure(node)
+	rep, _ := proxied(http.MethodDelete, node+"/v1/jobs/"+remoteID, maxSpecBytes).do(r.Context(), rt.client)
+	if rep.code == 0 {
+		rt.proxyFailed(node)
 		ro.mu.Lock()
 		if !ro.terminal {
 			ro.terminal = true
@@ -727,18 +693,16 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, st)
 		return
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxSpecBytes))
-	if resp.StatusCode != http.StatusOK {
+	if rep.code != http.StatusOK {
 		// Conflict and friends: relay, with the worker's job ID masked by
 		// the router's.
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(bytes.ReplaceAll(body, []byte(remoteID), []byte(ro.id)))
+		w.WriteHeader(rep.code)
+		_, _ = w.Write(bytes.ReplaceAll(rep.body, []byte(remoteID), []byte(ro.id)))
 		return
 	}
 	var st service.JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
+	if err := json.Unmarshal(rep.body, &st); err != nil {
 		service.WriteError(w, http.StatusBadGateway, "decoding worker status: %v", err)
 		return
 	}
@@ -761,34 +725,28 @@ func (rt *Router) handleResult(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, node+path, nil)
-	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	if accept := r.Header.Get("Accept"); accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.metrics.proxyErrors.Inc()
-		rt.mon.reportFailure(node)
+	rep, _ := call{method: http.MethodGet, url: node + path, accept: r.Header.Get("Accept"),
+		limit: maxSpecBytes, stream: func(resp *http.Response) bool {
+			if resp.StatusCode != http.StatusOK {
+				return false
+			}
+			w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+			w.WriteHeader(http.StatusOK)
+			_, _ = io.Copy(w, resp.Body)
+			return true
+		}}.do(r.Context(), rt.client)
+	switch rep.code {
+	case 0:
+		rt.proxyFailed(node)
 		rt.requeueRoute(ro, node, true)
 		service.WriteBackpressure(w, http.StatusServiceUnavailable,
 			"worker %s unreachable; job requeued, retry for the recomputed result", node)
-		return
+	case http.StatusOK: // streamed
+	default:
+		w.Header().Set("Content-Type", rep.header.Get("Content-Type"))
+		w.WriteHeader(rep.code)
+		_, _ = w.Write(bytes.ReplaceAll(rep.body, []byte(remoteID), []byte(ro.id)))
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxSpecBytes))
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(bytes.ReplaceAll(body, []byte(remoteID), []byte(ro.id)))
-		return
-	}
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.Copy(w, resp.Body)
 }
 
 // handleTrace serves the job's end-to-end span tree: the worker's
@@ -806,18 +764,11 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	node, remoteID, _ := ro.snapshot()
 	var nodes []*obs.SpanNode
 	traceID := ""
-	resp, err := rt.doJSON(r.Context(), http.MethodGet, node, "/v1/jobs/"+remoteID+"/trace", nil, "")
-	if err == nil {
-		if resp.StatusCode == http.StatusOK {
-			var wt obs.Tree
-			if json.NewDecoder(io.LimitReader(resp.Body, maxBatchBytes)).Decode(&wt) == nil {
-				nodes = wt.Flatten()
-				traceID = wt.TraceID
-			}
-		} else {
-			io.Copy(io.Discard, resp.Body)
-		}
-		resp.Body.Close()
+	rep, _ := proxied(http.MethodGet, node+"/v1/jobs/"+remoteID+"/trace", maxBatchBytes).do(r.Context(), rt.client)
+	var wt obs.Tree
+	if rep.decode(&wt) {
+		nodes = wt.Flatten()
+		traceID = wt.TraceID
 	}
 	if tc := ro.traceContext(); rt.tracer != nil && tc.Valid() {
 		nodes = append(nodes, rt.tracer.Nodes(tc.TraceID)...)
@@ -834,18 +785,8 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 // trusting (requeue already moved the route elsewhere). Failures are
 // expected — the node is usually gone — and ignored.
 func (rt *Router) cancelOrphan(node, remoteID string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, node+"/v1/jobs/"+remoteID, nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	_, _ = call{method: http.MethodDelete, url: node + "/v1/jobs/" + remoteID,
+		timeout: 5 * time.Second, limit: maxSpecBytes}.do(context.Background(), rt.client)
 }
 
 // handleEvents relays the worker's SSE stream. Events carry no job IDs,
@@ -872,30 +813,19 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	for {
 		node, remoteID, _ := ro.snapshot()
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, node+"/v1/jobs/"+remoteID+"/events", nil)
-		if err != nil {
-			return
-		}
-		resp, err := rt.stream.Do(req)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // client went away
-			}
-			rt.metrics.proxyErrors.Inc()
-			rt.mon.reportFailure(node)
-			if !rt.requeueRoute(ro, node, false) {
-				return
-			}
-			fmt.Fprintf(w, "event: requeued\ndata: {\"from\":%q}\n\n", node)
-			flusher.Flush()
-			continue
-		}
-		sawTerminal := rt.relaySSE(w, flusher, resp.Body, ro)
-		resp.Body.Close()
+		sawTerminal := false
+		_, err := call{method: http.MethodGet, url: node + "/v1/jobs/" + remoteID + "/events",
+			stream: func(resp *http.Response) bool {
+				sawTerminal = rt.relaySSE(w, flusher, resp.Body, ro)
+				return true
+			}}.do(r.Context(), rt.stream)
 		if sawTerminal || r.Context().Err() != nil {
-			return
+			return // done, or the client went away
 		}
-		// Stream cut before the job finished: the worker died mid-run.
+		// No stream, or one cut before the job finished: the worker died.
+		if err != nil {
+			rt.metrics.proxyErrors.Inc()
+		}
 		rt.mon.reportFailure(node)
 		if !rt.requeueRoute(ro, node, false) {
 			return
@@ -953,6 +883,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := r.Header.Get("X-Tenant")
+	// Every sub-batch POST carries an idempotency key, as a lone job's
+	// does: the batch's unit (the client's key when it sent one) and the
+	// sub-batch's owner. The unit has its own sequence, so the job IDs
+	// minted below stay the same.
+	unit := r.Header.Get(service.IdempotencyKeyHeader)
+	if unit == "" {
+		unit = rt.nextBatchUnit()
+	}
 
 	// One batch span covers the scatter; each per-owner sub-batch gets a
 	// scatter child, which in turn parents that worker's batch span — so
@@ -997,11 +935,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for _, p := range placements {
 			for _, st := range p.statuses {
 				if !st.State.Terminal() {
-					resp, err := rt.doJSON(context.Background(), http.MethodDelete, p.node, "/v1/jobs/"+st.ID, nil, "")
-					if err == nil {
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					}
+					_, _ = proxied(http.MethodDelete, p.node+"/v1/jobs/"+st.ID, maxSpecBytes).do(context.Background(), rt.client)
 				}
 			}
 		}
@@ -1019,7 +953,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		scatterSp := batchSp.StartChild("router.scatter")
 		scatterSp.SetAttr(obs.String("owner", owner), obs.Int("jobs", len(sb.indices)))
-		node, sub, _, rf := submitTo[service.BatchResponse](obs.ContextWith(r.Context(), scatterSp), rt, sb.candidates, "/v1/batches", body, tenant, "")
+		node, sub, _, rf := submitTo[service.BatchResponse](obs.ContextWith(r.Context(), scatterSp), rt, sb.candidates, "/v1/batches", body, tenant, unit+"/"+owner)
 		if node == "" {
 			scatterSp.SetAttr(obs.String("error", "sub-batch refused"))
 			scatterSp.End()

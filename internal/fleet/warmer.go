@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -118,7 +116,15 @@ func (w *Warmer) Run(ctx context.Context) {
 	var plan []pull
 	seen := map[string]struct{}{}
 	for _, peer := range w.peers {
-		for _, h := range w.peerIndex(ctx, peer) {
+		rep, _ := call{method: http.MethodGet, url: fmt.Sprintf("%s/v1/cache?limit=%d", peer, w.cfg.Limit),
+			limit: maxSpecBytes}.do(ctx, w.cfg.Client)
+		var idx struct {
+			Hashes []string `json:"hashes"`
+		}
+		if !rep.decode(&idx) {
+			continue // best-effort: an unreadable index lists nothing
+		}
+		for _, h := range idx.Hashes {
 			if _, dup := seen[h]; dup {
 				continue
 			}
@@ -134,8 +140,9 @@ func (w *Warmer) Run(ctx context.Context) {
 	}
 	w.planned.Store(int64(len(plan)))
 
-	// Transfer, one entry per rate tick. A ticker (not a sleep-per-item
-	// loop) keeps the bound exact however long individual fetches take.
+	// Transfer, one entry per rate tick (worker.warm fires per entry). A
+	// ticker (not a sleep-per-item loop) keeps the bound exact however
+	// long individual fetches take.
 	interval := time.Second / time.Duration(w.cfg.Rate)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -147,69 +154,14 @@ func (w *Warmer) Run(ctx context.Context) {
 			case <-tick.C:
 			}
 		}
-		if err := w.fetch(ctx, p.peer, p.hash); err != nil {
+		table, err := fetchTable(ctx, w.cfg.Client, w.retry, fpWarm, false, p.peer, p.hash)
+		if err != nil {
 			w.errors.Add(1)
 			continue
 		}
+		w.cfg.Cache.CachePut(p.hash, table)
 		w.fetched.Add(1)
 	}
-}
-
-// peerIndex lists one peer's hot cache hashes (best-effort).
-func (w *Warmer) peerIndex(ctx context.Context, peer string) []string {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/cache?limit=%d", peer, w.cfg.Limit), nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := w.cfg.Client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	var idx struct {
-		Hashes []string `json:"hashes"`
-	}
-	if json.NewDecoder(io.LimitReader(resp.Body, maxSpecBytes)).Decode(&idx) != nil {
-		return nil
-	}
-	return idx.Hashes
-}
-
-// fetch pulls one table from the peer that reported it and installs it
-// locally. The worker.warm fault point fires per entry.
-func (w *Warmer) fetch(ctx context.Context, peer, hash string) error {
-	return w.retry.Do(ctx, func(int) error {
-		if err := resilience.P(fpWarm).FireCtx(ctx); err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cache/"+hash, nil)
-		if err != nil {
-			return resilience.Permanent(err)
-		}
-		resp, err := w.cfg.Client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}()
-		if resp.StatusCode != http.StatusOK {
-			// Evicted (or never held) since the index was taken: skip it.
-			return resilience.Permanent(fmt.Errorf("warm %s from %s: %s", hash, peer, resp.Status))
-		}
-		table, err := snnmap.ReadTableJSON(resp.Body)
-		if err != nil {
-			return resilience.Permanent(err)
-		}
-		w.cfg.Cache.CachePut(hash, table)
-		return nil
-	})
 }
 
 // Progress snapshots the warm pass: entries planned, fetched, failed,

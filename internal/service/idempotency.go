@@ -3,42 +3,68 @@ package service
 import "sync"
 
 // IdempotencyKeyHeader carries a submit request's idempotency key. The
-// fleet router stamps it with (route ID, target node), so a retried
-// submit RPC — the first attempt's response was lost after this node
-// accepted the job — collapses onto the already-created job instead of
-// creating a second one. Content addressing already makes duplicate
-// *execution* harmless (identical spec, identical table); the key
-// additionally dedupes the job records themselves, keeping the router's
-// route pointed at exactly one remote ID.
+// fleet router stamps it with (route ID or batch unit, target node), so
+// a retried submit RPC — the first attempt's response was lost after
+// this node accepted — collapses onto the already-created jobs instead
+// of creating a second set; POST /v1/jobs and POST /v1/batches both
+// honour it. Content addressing already makes duplicate *execution*
+// harmless (identical spec, identical table); the key additionally
+// dedupes the job records themselves, keeping the router's routes
+// pointed at exactly one remote ID per job.
 const IdempotencyKeyHeader = "X-Idempotency-Key"
 
-// idemStore is the bounded key→jobID memory behind the header: recent
-// submissions only, because a key's useful life is one retry window.
-// The LRU bound means a key can age out and a very late replay create a
-// duplicate job — acceptable, since execution stays idempotent either
-// way.
+// idemStore is the bounded key→job IDs memory behind the header, one ID
+// per submitted spec in input order: recent submissions only, because a
+// key's useful life is one retry window. The LRU bound means a key can
+// age out and a very late replay create duplicate jobs — acceptable,
+// since execution stays idempotent either way.
 type idemStore struct {
 	mu      sync.Mutex
-	entries *lru[string]
+	entries *lru[[]string]
 }
 
 func newIdemStore(capacity int) *idemStore {
-	return &idemStore{entries: newLRU[string](capacity)}
+	return &idemStore{entries: newLRU[[]string](capacity)}
 }
 
-// lookup returns the job ID recorded for key, refreshing its recency.
-func (st *idemStore) lookup(key string) (string, bool) {
+// lookup returns the job IDs recorded for key, refreshing its recency.
+func (st *idemStore) lookup(key string) ([]string, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.entries.get(key)
 }
 
-// record remembers key→id (first writer wins).
-func (st *idemStore) record(key, id string) {
+// record remembers key→ids (first writer wins).
+func (st *idemStore) record(key string, ids []string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.entries.get(key); ok {
 		return
 	}
-	st.entries.add(key, id)
+	st.entries.add(key, ids)
+}
+
+// replay answers a keyed resubmission from the jobs its first attempt
+// created, status for status in input order. It returns nil — admit
+// afresh — when the key is empty or unknown, a recorded job has left the
+// store, or the recorded jobs do not carry hashes, index for index: a
+// key reused for other content (a client's, or a restarted router's
+// reissued job IDs) is a new submission, never another job's answer.
+func (s *Server) replay(key string, hashes []string) []JobStatus {
+	if key == "" {
+		return nil
+	}
+	ids, ok := s.idem.lookup(key)
+	if !ok || len(ids) != len(hashes) {
+		return nil
+	}
+	sts := make([]JobStatus, len(ids))
+	for i, id := range ids {
+		j, ok := s.store.get(id)
+		if !ok || j.hash != hashes[i] {
+			return nil
+		}
+		sts[i] = s.store.status(j)
+	}
+	return sts
 }

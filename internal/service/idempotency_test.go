@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	snnmap "repro"
 )
 
 // submitKeyed posts a spec under an X-Idempotency-Key header.
@@ -65,6 +67,76 @@ func TestIdempotentResubmit(t *testing.T) {
 		t.Fatalf("metrics missing replay counter:\n%s", rec.Body.String())
 	}
 
+	cancelJob(t, h, st.ID)
+}
+
+// TestIdempotentBatchResubmit pins the same contract for POST
+// /v1/batches: a keyed resubmission answers with the jobs the first
+// attempt created, index for index — a duplicate spec repeats its job at
+// its own index — and creates none.
+func TestIdempotentBatchResubmit(t *testing.T) {
+	s, h := newTestServer(t, Config{Workers: 1})
+	other := tinySpec()
+	other.Seed = 2
+	body, err := json.Marshal(BatchRequest{Jobs: []snnmap.JobSpec{slowSpec(), other, slowSpec()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() BatchResponse {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/batches", bytes.NewReader(body))
+		req.Header.Set(IdempotencyKeyHeader, "batch@node-a")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("keyed batch = %d %s", rec.Code, rec.Body.String())
+		}
+		var br BatchResponse
+		decodeInto(t, rec, &br)
+		return br
+	}
+
+	first, retry := post(), post()
+	if len(retry.Jobs) != 3 || retry.Jobs[0].ID != retry.Jobs[2].ID {
+		t.Fatalf("replayed batch statuses = %+v, want the duplicate at index 2", retry.Jobs)
+	}
+	for i := range first.Jobs {
+		if retry.Jobs[i].ID != first.Jobs[i].ID {
+			t.Fatalf("replay index %d = %s, want %s", i, retry.Jobs[i].ID, first.Jobs[i].ID)
+		}
+	}
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	decodeInto(t, doRequest(t, h, http.MethodGet, "/v1/jobs", nil), &list)
+	if len(list.Jobs) != 2 {
+		t.Fatalf("store holds %d jobs after a keyed batch resubmit, want 2", len(list.Jobs))
+	}
+	if snap := s.Snapshot(); snap.IdemReplays != 1 {
+		t.Fatalf("idempotent replays = %d, want 1", snap.IdemReplays)
+	}
+	cancelJob(t, h, first.Jobs[0].ID)
+}
+
+// TestIdempotencyKeyBoundToContent pins that a key only replays the
+// content it was recorded for: a router restarted without an origin
+// token reissues fleet-000001 and so its keys, and a client may reuse a
+// key for another spec. Either way the submission is admitted as new,
+// never answered with the other spec's job.
+func TestIdempotencyKeyBoundToContent(t *testing.T) {
+	_, h := newTestServer(t, Config{Workers: 1})
+	first := submitKeyed(t, h, "fleet-000001@node-a", slowSpec())
+	if first.Code != http.StatusAccepted {
+		t.Fatalf("first keyed submit = %d %s", first.Code, first.Body.String())
+	}
+	st := decodeStatus(t, first)
+	other := submitKeyed(t, h, "fleet-000001@node-a", tinySpec())
+	if other.Code != http.StatusAccepted && other.Code != http.StatusOK {
+		t.Fatalf("same key, other spec = %d %s", other.Code, other.Body.String())
+	}
+	if got := decodeStatus(t, other); got.ID == st.ID || got.Hash == st.Hash {
+		t.Fatalf("same key, other spec answered with job %s (hash %s), the first spec's", got.ID, got.Hash)
+	}
 	cancelJob(t, h, st.ID)
 }
 

@@ -184,33 +184,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-
-	// Idempotent replay: a keyed resubmission whose first attempt this
-	// node already accepted answers with that job instead of creating a
-	// duplicate record. A draining node refuses it like any submission.
-	idemKey := r.Header.Get(IdempotencyKeyHeader)
-	if idemKey != "" && !s.isDraining() {
-		if id, ok := s.idem.lookup(idemKey); ok {
-			if j, ok := s.store.get(id); ok {
-				s.metrics.idemReplays.Inc()
-				WriteJSON(w, http.StatusOK, s.store.status(j))
-				return
-			}
-		}
-	}
-
 	// The job root span continues the router's trace (traceparent) or
 	// starts a fresh one; the cache lookup becomes its first child.
 	tr := s.startJobTrace(r.Header, specs[0])
-	sts, ok := s.admit(w, r, specs, hashes, tr.rootSpan(), func(snnmap.JobSpec) *jobTrace { return tr })
+	sts, replayed, ok := s.admit(w, r, specs, hashes, tr.rootSpan(), func(snnmap.JobSpec) *jobTrace { return tr })
 	if !ok {
 		return
 	}
-	if idemKey != "" {
-		s.idem.record(idemKey, sts[0].ID)
-	}
 	code := http.StatusAccepted
-	if sts[0].Cached {
+	if sts[0].Cached || replayed {
 		code = http.StatusOK
 	}
 	WriteJSON(w, code, sts[0])
@@ -285,7 +267,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		batchSp.SetAttr(obs.Int("jobs", len(specs)))
 	}
 	defer batchSp.End()
-	sts, ok := s.admit(w, r, specs, hashes, batchSp, func(spec snnmap.JobSpec) *jobTrace { return childJobTrace(batchSp, spec) })
+	sts, _, ok := s.admit(w, r, specs, hashes, batchSp, func(spec snnmap.JobSpec) *jobTrace { return childJobTrace(batchSp, spec) })
 	if !ok {
 		return
 	}
@@ -302,16 +284,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // submission is shed with 429 — there are no partially accepted
 // batches. A draining node refuses with 503 before any work happens.
 //
+// A submission keyed with X-Idempotency-Key is recorded under its key;
+// a resubmission with that key whose first attempt this node accepted
+// (the response was lost on the way back) is answered with the jobs the
+// first attempt created, index for index, and replayed is true.
+//
 // parent is the span the cache lookups hang off; trace opens the root
 // span of each job admit creates. The statuses come back in input order,
 // a duplicate repeating its job's status; on refusal admit has written
 // the response and ok is false.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, specs []snnmap.JobSpec, hashes []string, parent *obs.Span, trace func(snnmap.JobSpec) *jobTrace) (sts []JobStatus, ok bool) {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, specs []snnmap.JobSpec, hashes []string, parent *obs.Span, trace func(snnmap.JobSpec) *jobTrace) (sts []JobStatus, replayed, ok bool) {
 	if s.isDraining() {
 		// Even cache-answerable submissions are refused: drain means
 		// "this instance takes no new work", full stop.
 		s.unavailable(w)
-		return nil, false
+		return nil, false, false
+	}
+	idemKey := r.Header.Get(IdempotencyKeyHeader)
+	if sts := s.replay(idemKey, hashes); sts != nil {
+		s.metrics.idemReplays.Inc()
+		return sts, true, true
 	}
 
 	// Plan: resolve the cache tiers per unique hash, dedupe, and group
@@ -351,7 +343,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, specs []snnmap.Jo
 	if s.draining {
 		s.submitMu.Unlock()
 		s.unavailable(w)
-		return nil, false
+		return nil, false, false
 	}
 	groups := make([]*workGroup, 0, len(groupOrder))
 	tenant := r.Header.Get("X-Tenant")
@@ -371,7 +363,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, specs []snnmap.Jo
 			s.store.remove(j.id)
 		}
 		s.shed(w, err)
-		return nil, false
+		return nil, false, false
 	}
 	for _, g := range groups {
 		for _, j := range g.jobs {
@@ -397,7 +389,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, specs []snnmap.Jo
 		}
 		sts[i] = st
 	}
-	return sts, true
+	if idemKey != "" {
+		ids := make([]string, len(sts))
+		for i, st := range sts {
+			ids[i] = st.ID
+		}
+		s.idem.record(idemKey, ids)
+	}
+	return sts, false, true
 }
 
 // handleCacheFetch serves this node's local result-cache tier to peers:

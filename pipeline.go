@@ -106,8 +106,8 @@ func WithTrace(keep bool) Option {
 // WithStreamingDelivery is a no-op kept for source compatibility.
 //
 // Deprecated: streaming analysis is automatic. Every run computes its
-// metrics from a metrics.Accumulator fed by the simulator's delivery
-// sink, and only a WithTrace run keeps the trace.
+// metrics from a metrics.Accumulator, fed by the simulator's delivery
+// sink or, under WithTrace, from the trace the run keeps.
 func WithStreamingDelivery(bool) Option {
 	return func(*pipelineOptions) {}
 }
@@ -269,9 +269,11 @@ func (pl *Pipeline) RunObserved(ctx context.Context, pt Partitioner, obs Observe
 
 // runWith is the staged run on a replay context held for the whole run.
 // The simulator streams every delivery, in arrival order, into the
-// context's accumulator, which yields the run's metrics; WithTrace only
-// tees the stream into the report's trace, so a traced run is analyzed
-// exactly like an untraced one (see TestPipelineStreamingMatchesTrace).
+// context's accumulator, which yields the run's metrics. Under WithTrace
+// the simulator instead keeps the trace (allocated once, at its exact
+// size) and the analyze stage folds it through the same accumulator in
+// the same order, so a traced run is analyzed exactly like an untraced
+// one (see TestPipelineStreamingMatchesTrace).
 func (pl *Pipeline) runWith(ctx context.Context, r *replay, pt Partitioner, obs Observer) (*Report, error) {
 	if pt == nil {
 		return nil, errors.New("snnmap: nil partitioner")
@@ -342,19 +344,14 @@ func (pl *Pipeline) runWith(ctx context.Context, r *replay, pt Partitioner, obs 
 		sim.SetContext(ctx)
 	}
 	r.acc.Reset(pl.arch.Crossbars)
-	if pl.opts.keepTrace {
-		sim.SetDeliverySink(func(d noc.Delivery) {
-			r.acc.Add(d)
-			rep.Deliveries = append(rep.Deliveries, d)
-		})
-	} else {
+	if !pl.opts.keepTrace {
 		sim.SetDeliverySink(r.add)
 	}
 	nocRes, err := r.sc.injectAndRun(sim, pl.app.Graph, placed, pl.arch)
 	if err != nil {
 		return nil, err
 	}
-	nocRes.Deliveries = rep.Deliveries
+	rep.Deliveries = nocRes.Deliveries
 	rep.NoC = nocRes.Stats
 	rep.GlobalEnergyPJ = nocRes.Stats.EnergyPJ
 	rep.TotalEnergyPJ = rep.LocalEnergyPJ + rep.GlobalEnergyPJ
@@ -363,8 +360,12 @@ func (pl *Pipeline) runWith(ctx context.Context, r *replay, pt Partitioner, obs 
 		return nil, fmt.Errorf("snnmap: %s: aborted after simulation: %w", res.Technique, err)
 	}
 
-	// Stage 4 — analyze.
+	// Stage 4 — analyze. A traced run folds its kept trace, in emission
+	// order, through the same accumulator the sink feeds.
 	start = time.Now()
+	for _, d := range rep.Deliveries {
+		r.acc.Add(d)
+	}
 	rep.Metrics = r.acc.Report(pl.app.Graph.DurationMs)
 	pl.observe(obs, StageEvent{Stage: StageAnalyze, Technique: res.Technique, Elapsed: time.Since(start), Metrics: &rep.Metrics})
 	return rep, nil
