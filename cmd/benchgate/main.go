@@ -126,7 +126,7 @@ func runParse(args []string, stdin io.Reader, stdout io.Writer) error {
 // keep the fastest ns/op, the conventional stable statistic for gating.
 func Parse(r io.Reader) (*Artifact, error) {
 	art := &Artifact{
-		Environment: Environment{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, GOMAXPROCS: runtime.GOMAXPROCS(0)},
+		Environment: Environment{GoOS: runtime.GOOS, GoArch: runtime.GOARCH},
 		Benchmarks:  map[string]Entry{},
 	}
 	sc := bufio.NewScanner(r)
@@ -179,7 +179,23 @@ func Parse(r io.Reader) (*Artifact, error) {
 		}
 		art.Benchmarks[fields[0]] = e
 	}
+	art.Environment.GOMAXPROCS = runProcs(art.Benchmarks)
 	return art, sc.Err()
+}
+
+// runProcs reads the run's GOMAXPROCS off its names: at N > 1 every
+// name ends in -N. Without one suffix shared by all it is 1 (or mixed
+// -cpu values, where only identical names pair).
+func runProcs(benchmarks map[string]Entry) int {
+	procs := 1
+	for name := range benchmarks {
+		n, err := strconv.Atoi(name[strings.LastIndexByte(name, '-')+1:])
+		if err != nil || n <= 1 || (procs > 1 && n != procs) {
+			return 1
+		}
+		procs = n
+	}
+	return procs
 }
 
 func runCompare(args []string, stdout io.Writer) error {

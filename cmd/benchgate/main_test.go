@@ -2,8 +2,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -282,5 +284,49 @@ func TestCompareStripsGOMAXPROCSSuffix(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "0 compared (0 ok, 0 regressed), 1 new, 1 gone") {
 		t.Fatalf("a GOMAXPROCS 1 sub-benchmark ending in -64 was mangled:\n%s", out.String())
+	}
+}
+
+// TestParseRecordsRunGOMAXPROCS: the GOMAXPROCS an artifact records is
+// the one the `go test` run used, read off its name suffixes, whatever
+// GOMAXPROCS the parsing process has — so a run at -cpu 4 parsed at
+// GOMAXPROCS 1 still pairs with a GOMAXPROCS 1 record.
+func TestParseRecordsRunGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		text  string
+		procs int
+	}{
+		{sample, 8},
+		{"BenchmarkAnalyze-4 3 1000 ns/op\nBenchmarkRing/vnodes-64-4 3 1000 ns/op\n", 4},
+		{"BenchmarkAnalyze 3 1000 ns/op\nBenchmarkRing/vnodes-64 3 1000 ns/op\n", 1},
+		{"BenchmarkAnalyze-4 3 1000 ns/op\nBenchmarkAnalyze-2 3 1000 ns/op\n", 1}, // mixed -cpu
+		{"", 1},
+	} {
+		art, err := Parse(strings.NewReader(tc.text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if art.Environment.GOMAXPROCS != tc.procs {
+			t.Fatalf("GOMAXPROCS of %q = %d, want %d", tc.text, art.Environment.GOMAXPROCS, tc.procs)
+		}
+	}
+
+	dir := t.TempDir()
+	head, record := filepath.Join(dir, "head.json"), filepath.Join(dir, "record.json")
+	for path, text := range map[string]string{
+		head:   "BenchmarkAnalyze-4 3 1000 ns/op\nBenchmarkRing/vnodes-64-4 3 1000 ns/op\n",
+		record: "BenchmarkAnalyze 3 1000 ns/op\nBenchmarkRing/vnodes-64 3 1000 ns/op\n",
+	} {
+		if err := run([]string{"parse", "-out", path}, strings.NewReader(text), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out strings.Builder
+	if err := run([]string{"compare", "-base", record, "-head", head}, nil, &out); err != nil {
+		t.Fatalf("compare: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "summary: 2 compared (2 ok, 0 regressed), 0 new, 0 gone") {
+		t.Fatalf("a run parsed at another GOMAXPROCS was not paired with the record:\n%s", out.String())
 	}
 }

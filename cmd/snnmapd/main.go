@@ -138,17 +138,25 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	}
 
 	if *fleetRoute {
-		return runRouter(routerOptions{
-			addr:            *addr,
-			self:            *self,
-			peers:           splitList(*peers),
-			gossip:          splitList(*gossip),
-			vnodes:          *vnodes,
-			probeInterval:   *probeIval,
-			failThreshold:   *failThresh,
-			tracingDisabled: !*tracing,
-			traceCap:        *traceCap,
-		}, ready)
+		// The router is stateless (workers hold results), so shutdown is
+		// just closing the listener and the health prober.
+		rt, err := fleet.NewRouter(fleet.RouterConfig{
+			Peers:           splitList(*peers),
+			Self:            *self,
+			GossipPeers:     splitList(*gossip),
+			VNodes:          *vnodes,
+			ProbeInterval:   *probeIval,
+			FailThreshold:   *failThresh,
+			TracingDisabled: !*tracing,
+			TraceCap:        *traceCap,
+			Log:             slog.Default(),
+		})
+		if err != nil {
+			return err
+		}
+		rt.Start()
+		defer rt.Close()
+		return serve(rt.Handler(), *addr, ready, nil, "fleet router listening", "workers", len(splitList(*peers)))
 	}
 
 	cfg := service.Config{
@@ -188,15 +196,30 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			slog.Info("cache warm pass done", "fetched", fetched, "planned", planned, "errors", errs)
 		}()
 	}
-	ln, err := net.Listen("tcp", *addr)
+	return serve(svc.Handler(), *addr, ready, func() {
+		slog.Info("signal received; draining", "budget", *drainTimeout)
+		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		defer cancel()
+		if err := svc.Drain(dctx); err != nil {
+			slog.Warn("drain deadline expired; running jobs canceled", "error", err)
+		}
+		slog.Info("drained")
+	}, "listening")
+}
+
+// serve runs h on addr until SIGINT or SIGTERM, then runs drain (when
+// set) and shuts the HTTP server down. msg and attrs make the log line
+// announcing the listener; ready, when non-nil, gets the bound address.
+func serve(h http.Handler, addr string, ready chan<- string, drain func(), msg string, attrs ...any) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	slog.Info("listening", "url", "http://"+ln.Addr().String())
+	slog.Info(msg, append([]any{"url", "http://" + ln.Addr().String()}, attrs...)...)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	httpSrv := newServer(svc.Handler())
+	httpSrv := newServer(h)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -209,19 +232,15 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	case <-ctx.Done():
 		stop() // restore default signal handling: a second signal kills
 	}
-
-	slog.Info("signal received; draining", "budget", *drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := svc.Drain(dctx); err != nil {
-		slog.Warn("drain deadline expired; running jobs canceled", "error", err)
+	if drain != nil {
+		drain()
 	}
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
 	if err := httpSrv.Shutdown(sctx); err != nil {
 		return fmt.Errorf("http shutdown: %w", err)
 	}
-	slog.Info("drained; bye")
+	slog.Info("stopped; bye")
 	return nil
 }
 
@@ -250,68 +269,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// routerOptions carries the fleet-router flag values.
-type routerOptions struct {
-	addr            string
-	self            string
-	peers           []string
-	gossip          []string
-	vnodes          int
-	probeInterval   time.Duration
-	failThreshold   int
-	tracingDisabled bool
-	traceCap        int
-}
-
-// runRouter serves the fleet router until a signal stops it. The router
-// is stateless (workers hold results), so shutdown is just closing the
-// listener and the health prober.
-func runRouter(opts routerOptions, ready chan<- string) error {
-	rt, err := fleet.NewRouter(fleet.RouterConfig{
-		Peers:           opts.peers,
-		Self:            opts.self,
-		GossipPeers:     opts.gossip,
-		VNodes:          opts.vnodes,
-		ProbeInterval:   opts.probeInterval,
-		FailThreshold:   opts.failThreshold,
-		TracingDisabled: opts.tracingDisabled,
-		TraceCap:        opts.traceCap,
-		Log:             slog.Default(),
-	})
-	if err != nil {
-		return err
-	}
-	rt.Start()
-	defer rt.Close()
-
-	ln, err := net.Listen("tcp", opts.addr)
-	if err != nil {
-		return err
-	}
-	slog.Info("fleet router listening", "url", "http://"+ln.Addr().String(), "workers", len(opts.peers))
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-	httpSrv := newServer(rt.Handler())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		stop()
-	}
-	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer scancel()
-	if err := httpSrv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	slog.Info("router stopped; bye")
-	return nil
 }

@@ -100,3 +100,64 @@ func TestRouterRetryAfterDroppedResponse(t *testing.T) {
 		})
 	}
 }
+
+// TestRouterRestartAdmitsFreshJobs: a restarted router (or a second
+// tokenless one) reissues the same job IDs and batch sequence numbers,
+// while the worker's key memory outlives it. Resubmitting the content
+// of jobs the first router canceled must create fresh jobs, never
+// replay the canceled ones.
+func TestRouterRestartAdmitsFreshJobs(t *testing.T) {
+	specs := make([]snnmap.JobSpec, 0, 2)
+	for seed := int64(1); seed <= 2; seed++ {
+		s := slowFleetSpec()
+		s.Seed = seed
+		specs = append(specs, s)
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       any
+	}{
+		{"job", "/v1/jobs", specs[0]},
+		{"batch", "/v1/batches", service.BatchRequest{Jobs: specs}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false)
+			for run := 1; run <= 2; run++ {
+				_, base := startRouter(t, workers) // a new process: its sequences start over
+				resp, body := postJSON(t, base+tc.path, tc.body)
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("run %d: submit = %d %s", run, resp.StatusCode, body)
+				}
+				var sts []service.JobStatus
+				if tc.path == "/v1/jobs" {
+					var st service.JobStatus
+					if err := json.Unmarshal(body, &st); err != nil {
+						t.Fatal(err)
+					}
+					sts = []service.JobStatus{st}
+				} else {
+					var br service.BatchResponse
+					if err := json.Unmarshal(body, &br); err != nil {
+						t.Fatal(err)
+					}
+					sts = br.Jobs
+				}
+				for _, st := range sts {
+					if st.State == service.JobCanceled {
+						t.Fatalf("run %d: job %s answered canceled: an earlier router's job was replayed", run, st.ID)
+					}
+					req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+st.ID, nil)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+			if got := workers[0].svc.Snapshot().IdemReplays; got != 0 {
+				t.Fatalf("worker idempotent replays = %d across routers, want 0", got)
+			}
+		})
+	}
+}

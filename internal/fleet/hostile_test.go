@@ -136,3 +136,56 @@ func TestGossipIgnoresOversizedView(t *testing.T) {
 		t.Fatal("an oversized gossip view resurrected the node")
 	}
 }
+
+// TestRouterOversizedAnswerKeepsNodeAlive: every worker accepts the
+// submission with a 202 whose body runs past maxBatchBytes. Each answer
+// is one proxy error and the router moves on to the next candidate, but
+// an answer is not a transport failure: nothing is retried and no node
+// steps toward death, under the default retry policy and threshold.
+func TestRouterOversizedAnswerKeepsNodeAlive(t *testing.T) {
+	big, err := json.Marshal(map[string]string{"id": "w-1", "state": "queued", "pad": strings.Repeat("x", maxBatchBytes+1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var posts atomic.Int64
+	stub := func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.Method != http.MethodPost {
+			_, _ = w.Write([]byte("{}"))
+			return
+		}
+		posts.Add(1)
+		w.WriteHeader(http.StatusAccepted)
+		_, _ = w.Write(big)
+	}
+	var nodes []string
+	for i := 0; i < 2; i++ {
+		s := httptest.NewServer(http.HandlerFunc(stub))
+		defer s.Close()
+		nodes = append(nodes, s.URL)
+	}
+	rt, err := NewRouter(RouterConfig{Peers: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Close()
+	srv := httptest.NewServer(rt.Handler())
+	defer srv.Close()
+
+	resp, body := postJSON(t, srv.URL+"/v1/jobs", tinyFleetSpec())
+	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
+		t.Fatalf("oversized acceptance relayed as %d %s", resp.StatusCode, body)
+	}
+	if got := posts.Load(); got != 2 {
+		t.Fatalf("workers saw %d submit POSTs, want one each (2)", got)
+	}
+	if got := rt.metrics.proxyErrors.Value(); got != 2 {
+		t.Fatalf("proxy errors = %d, want 2", got)
+	}
+	for _, n := range nodes {
+		if !rt.mon.alive(n) {
+			t.Fatalf("node %s declared dead over an oversized answer", n)
+		}
+	}
+}

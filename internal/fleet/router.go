@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"strings"
 	"sync"
@@ -168,6 +169,9 @@ type Router struct {
 	token       string
 	gossipPeers []string
 	peerTokens  map[string]string
+	// epoch, a per-process nonce, prefixes the router's idempotency
+	// units: its sequences restart, a worker's key memory does not.
+	epoch string
 
 	mu       sync.Mutex
 	ring     *Ring
@@ -197,6 +201,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		routes:      map[string]*route{},
 		gossipPeers: normalizeBases(cfg.GossipPeers),
 		peerTokens:  map[string]string{},
+		epoch:       fmt.Sprintf("%016x", rand.Uint64()),
 		stopRep:     make(chan struct{}),
 		repDone:     make(chan struct{}),
 	}
@@ -322,7 +327,7 @@ func (rt *Router) nextBatchUnit() string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.batchSeq++
-	return fmt.Sprintf("batch-%s-%06d", rt.token, rt.batchSeq)
+	return fmt.Sprintf("batch-%s-%06d", rt.epoch, rt.batchSeq)
 }
 
 // newRoute registers an accepted placement under a pre-allocated ID.
@@ -384,21 +389,28 @@ func (rt *Router) startProxySpan(h http.Header, name string) *obs.Span {
 }
 
 // postWithRetry POSTs body to one node under the shared retry policy.
-// A failed attempt — no answer, or a body over limit — backs off and
-// retries, counting toward the node's death threshold each time; any
-// HTTP status is a definitive answer and returns immediately. The
-// idempotency key is what makes the retry safe: if the first attempt's
-// response was lost after the worker accepted, the replay collapses onto
-// the already-accepted jobs instead of executing twice.
+// An attempt that got no answer backs off and retries, counting toward
+// the node's death threshold each time; any HTTP status is a definitive
+// answer and returns immediately — one whose body failed to read or ran
+// over limit as a proxy error and a non-nil err. The idempotency key is what makes the retry safe:
+// if the first attempt's response was lost after the worker accepted,
+// the replay collapses onto the already-accepted jobs instead of
+// executing twice.
 func (rt *Router) postWithRetry(ctx context.Context, node, path string, body []byte, tenant, idemKey string, limit int64) (rep reply, err error) {
 	c := proxied(http.MethodPost, node+path, limit)
 	c.body, c.tenant, c.idemKey = body, tenant, idemKey
 	err = rt.retry.Do(ctx, func(int) error {
 		var cerr error
-		if rep, cerr = c.do(ctx, rt.client); cerr != nil {
+		rep, cerr = c.do(ctx, rt.client)
+		switch {
+		case cerr == nil:
+			return nil
+		case rep.code == 0:
 			rt.proxyFailed(node)
+			return cerr
 		}
-		return cerr
+		rt.metrics.proxyErrors.Inc()
+		return resilience.Permanent(cerr)
 	})
 	return rep, err
 }
@@ -418,7 +430,7 @@ func submitTo[T any](ctx context.Context, rt *Router, candidates []string, path 
 	for _, n := range candidates {
 		rep, err := rt.postWithRetry(ctx, n, path, body, tenant, resilience.IdempotencyKey(unit, n), maxBatchBytes)
 		if err != nil {
-			continue // retries exhausted; failures already counted
+			continue // no usable answer; already counted
 		}
 		switch rep.code {
 		case http.StatusOK, http.StatusAccepted:
@@ -576,15 +588,15 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	tenant := r.Header.Get("X-Tenant")
 
-	// The ID is minted before submission: it seeds the per-target
-	// idempotency key, so a retried submit RPC collapses onto the first
-	// attempt's job instead of executing twice. A client-supplied key
-	// takes precedence as the unit — the client's own resubmission of
-	// the same intent (through any router) then lands on the same
-	// worker-side key and replays the in-flight job instead of forking
-	// a twin.
+	// The ID is minted before submission: with the router's epoch it
+	// seeds the per-target idempotency key, so a retried submit RPC
+	// collapses onto the first attempt's job instead of executing twice.
+	// A client-supplied key takes precedence as the unit — the client's
+	// own resubmission of the same intent (through any router) then
+	// lands on the same worker-side key and replays the in-flight job
+	// instead of forking a twin.
 	id := rt.nextID()
-	unit := id
+	unit := rt.epoch + "/" + id
 	if ck := r.Header.Get(service.IdempotencyKeyHeader); ck != "" {
 		unit = ck
 	}
@@ -639,9 +651,15 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, ro.lastStatus())
 		return
 	}
+	rt.relayStatus(w, ro, rep.body, err)
+}
+
+// relayStatus decodes a worker's job status, records it on the route
+// and answers with it under the router's job ID.
+func (rt *Router) relayStatus(w http.ResponseWriter, ro *route, body []byte, err error) {
 	var st service.JobStatus
 	if err == nil {
-		err = json.Unmarshal(rep.body, &st)
+		err = json.Unmarshal(body, &st)
 	}
 	if err != nil {
 		service.WriteError(w, http.StatusBadGateway, "decoding worker status: %v", err)
@@ -679,7 +697,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	node, remoteID, _ := ro.snapshot()
-	rep, _ := proxied(http.MethodDelete, node+"/v1/jobs/"+remoteID, maxSpecBytes).do(r.Context(), rt.client)
+	rep, err := proxied(http.MethodDelete, node+"/v1/jobs/"+remoteID, maxSpecBytes).do(r.Context(), rt.client)
 	if rep.code == 0 {
 		rt.proxyFailed(node)
 		ro.mu.Lock()
@@ -701,13 +719,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(bytes.ReplaceAll(rep.body, []byte(remoteID), []byte(ro.id)))
 		return
 	}
-	var st service.JobStatus
-	if err := json.Unmarshal(rep.body, &st); err != nil {
-		service.WriteError(w, http.StatusBadGateway, "decoding worker status: %v", err)
-		return
-	}
-	ro.observe(st)
-	service.WriteJSON(w, http.StatusOK, ro.rewrite(st))
+	rt.relayStatus(w, ro, rep.body, err)
 }
 
 // handleResult relays a done job's table bytes verbatim — the fleet's

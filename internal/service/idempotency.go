@@ -1,6 +1,10 @@
 package service
 
-import "sync"
+import (
+	"crypto/sha256"
+	"strings"
+	"sync"
+)
 
 // IdempotencyKeyHeader carries a submit request's idempotency key. The
 // fleet router stamps it with (route ID or batch unit, target node), so
@@ -13,58 +17,75 @@ import "sync"
 // pointed at exactly one remote ID per job.
 const IdempotencyKeyHeader = "X-Idempotency-Key"
 
-// idemStore is the bounded key→job IDs memory behind the header, one ID
-// per submitted spec in input order: recent submissions only, because a
-// key's useful life is one retry window. The LRU bound means a key can
-// age out and a very late replay create duplicate jobs — acceptable,
-// since execution stays idempotent either way.
+// idemStore is the bounded key→submission memory behind the header:
+// recent submissions only, because a key's useful life is one retry
+// window. The LRU bound means a key can age out and a very late replay
+// create duplicate jobs — acceptable, since execution stays idempotent
+// either way.
 type idemStore struct {
 	mu      sync.Mutex
-	entries *lru[[]string]
+	entries *lru[idemEntry]
 }
 
-func newIdemStore(capacity int) *idemStore {
-	return &idemStore{entries: newLRU[[]string](capacity)}
+// idemEntry is what a key remembers of the submission it admitted: a
+// digest of its content hashes in input order and one job ID per unique
+// hash. A duplicate costs nothing: replay expands it again from the
+// resubmission's own hashes, which the digest pins to the same order.
+type idemEntry struct {
+	digest [sha256.Size]byte
+	ids    []string
 }
 
-// lookup returns the job IDs recorded for key, refreshing its recency.
-func (st *idemStore) lookup(key string) ([]string, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.entries.get(key)
+func hashesDigest(hashes []string) [sha256.Size]byte {
+	return sha256.Sum256([]byte(strings.Join(hashes, "\n")))
 }
 
-// record remembers key→ids (first writer wins).
-func (st *idemStore) record(key string, ids []string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.entries.get(key); ok {
-		return
+// record remembers the submission admitted under key, its statuses sts
+// in input order. It replaces an earlier entry — replay turned that key
+// away for other content or departed jobs — so a lost-response retry of
+// this submission replays it in turn.
+func (st *idemStore) record(key string, hashes []string, sts []JobStatus) {
+	e := idemEntry{digest: hashesDigest(hashes)}
+	seen := make(map[string]bool, len(sts))
+	for _, js := range sts {
+		if !seen[js.ID] {
+			seen[js.ID] = true
+			e.ids = append(e.ids, js.ID)
+		}
 	}
-	st.entries.add(key, ids)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.entries.remove(key)
+	st.entries.add(key, e)
 }
 
 // replay answers a keyed resubmission from the jobs its first attempt
-// created, status for status in input order. It returns nil — admit
-// afresh — when the key is empty or unknown, a recorded job has left the
-// store, or the recorded jobs do not carry hashes, index for index: a
-// key reused for other content (a client's, or a restarted router's
-// reissued job IDs) is a new submission, never another job's answer.
+// created, status for status in input order, a duplicate repeating its
+// job's status. It returns nil — admit afresh — when the key is empty or
+// unknown, the recorded content differs from hashes, or a recorded job
+// has left the store: a key reused for other content (a client's, or a
+// restarted router's) is a new submission, never another job's answer.
 func (s *Server) replay(key string, hashes []string) []JobStatus {
 	if key == "" {
 		return nil
 	}
-	ids, ok := s.idem.lookup(key)
-	if !ok || len(ids) != len(hashes) {
+	s.idem.mu.Lock()
+	e, ok := s.idem.entries.get(key)
+	s.idem.mu.Unlock()
+	if !ok || e.digest != hashesDigest(hashes) {
 		return nil
 	}
-	sts := make([]JobStatus, len(ids))
-	for i, id := range ids {
+	byHash := make(map[string]JobStatus, len(e.ids))
+	for _, id := range e.ids {
 		j, ok := s.store.get(id)
-		if !ok || j.hash != hashes[i] {
+		if !ok {
 			return nil
 		}
-		sts[i] = s.store.status(j)
+		byHash[j.hash] = s.store.status(j)
+	}
+	sts := make([]JobStatus, len(hashes))
+	for i, h := range hashes {
+		sts[i] = byHash[h] // present: the digest pins the same hashes
 	}
 	return sts
 }

@@ -115,6 +115,17 @@ func TestIdempotentBatchResubmit(t *testing.T) {
 	if snap := s.Snapshot(); snap.IdemReplays != 1 {
 		t.Fatalf("idempotent replays = %d, want 1", snap.IdemReplays)
 	}
+
+	// The same specs with the duplicate at another index are other
+	// content: admitted afresh, not replayed.
+	body, err = json.Marshal(BatchRequest{Jobs: []snnmap.JobSpec{slowSpec(), other, other}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post()
+	if snap := s.Snapshot(); snap.IdemReplays != 1 {
+		t.Fatalf("idempotent replays = %d after a reordered batch, want 1", snap.IdemReplays)
+	}
 	cancelJob(t, h, first.Jobs[0].ID)
 }
 
@@ -134,8 +145,18 @@ func TestIdempotencyKeyBoundToContent(t *testing.T) {
 	if other.Code != http.StatusAccepted && other.Code != http.StatusOK {
 		t.Fatalf("same key, other spec = %d %s", other.Code, other.Body.String())
 	}
-	if got := decodeStatus(t, other); got.ID == st.ID || got.Hash == st.Hash {
-		t.Fatalf("same key, other spec answered with job %s (hash %s), the first spec's", got.ID, got.Hash)
+	otherSt := decodeStatus(t, other)
+	if otherSt.ID == st.ID || otherSt.Hash == st.Hash {
+		t.Fatalf("same key, other spec answered with job %s (hash %s), the first spec's", otherSt.ID, otherSt.Hash)
+	}
+	// The key now belongs to the submission it last admitted: a
+	// lost-response retry of that one replays it.
+	retry := submitKeyed(t, h, "fleet-000001@node-a", tinySpec())
+	if retry.Code != http.StatusOK {
+		t.Fatalf("retry of the re-keyed spec = %d %s, want 200", retry.Code, retry.Body.String())
+	}
+	if got := decodeStatus(t, retry); got.ID != otherSt.ID {
+		t.Fatalf("retry of the re-keyed spec created job %s, want replay of %s", got.ID, otherSt.ID)
 	}
 	cancelJob(t, h, st.ID)
 }

@@ -390,11 +390,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, specs []snnmap.Jo
 		sts[i] = st
 	}
 	if idemKey != "" {
-		ids := make([]string, len(sts))
-		for i, st := range sts {
-			ids[i] = st.ID
-		}
-		s.idem.record(idemKey, ids)
+		s.idem.record(idemKey, hashes, sts)
 	}
 	return sts, false, true
 }

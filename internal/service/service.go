@@ -154,7 +154,7 @@ func New(cfg Config) *Server {
 		store: newJobStore(),
 		cache: newResultCache(cfg.CacheCap),
 		info:  buildinfo.Read(),
-		idem:  newIdemStore(1024),
+		idem:  &idemStore{entries: newLRU[idemEntry](1024)},
 		queue: newFairQueue(cfg.QueueDepth, cfg.TenantDepth),
 	}
 	if !cfg.TracingDisabled {
