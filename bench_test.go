@@ -433,6 +433,28 @@ func BenchmarkPSOPartition(b *testing.B) {
 	}
 }
 
+// BenchmarkPSOPartitionDR measures one full PSO optimization in the Fig. 6
+// shape: digit recognition (1284 neurons, 258,500 synapses) at Nc=90, so
+// C=15, with the quick 30×30 swarm on one worker. Wide rows and a large
+// fitness make the velocity, repair and Cost loops dominate.
+func BenchmarkPSOPartitionDR(b *testing.B) {
+	app, err := apps.DigitRecognition(AppConfig{Seed: 1, DurationMs: 250})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewProblem(app.Graph, 15, 90)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pso := NewPSO(PSOConfig{SwarmSize: 30, Iterations: 30, Seed: int64(i + 1), Workers: 1})
+		if _, err := pso.Partition(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCostEvaluation measures the fitness function (Eq. 7–8) on the
 // dense 4x200 topology.
 func BenchmarkCostEvaluation(b *testing.B) {

@@ -5,7 +5,7 @@
 // when any benchmark regresses past the threshold — absolute numbers are
 // machine-bound, so only same-runner ratios are judged. The same JSON
 // schema is used for the benchmark records committed to the repo
-// (BENCH_PR10.json), so artifacts and records stay diffable.
+// (BENCH_RECORD.json), so artifacts and records stay diffable.
 //
 //	go test -run='^$' -bench=. -benchtime=3x -benchmem . | benchgate parse -out bench.json -note "CI runner"
 //	benchgate compare -base base.json -head head.json -threshold 0.20
@@ -355,8 +355,8 @@ func load(path string) (*Artifact, error) {
 	if len(art.Benchmarks) > 0 {
 		return &art, nil
 	}
-	// Committed benchmark records (BENCH_PR*.json) wrap two artifacts as
-	// {pr, note, schema, before, after}; the "after" side is the record's
+	// Committed benchmark records (BENCH_*.json) wrap two artifacts as
+	// {note, schema, before, after}; the "after" side is the record's
 	// head measurement and serves as the baseline for later gates.
 	var record struct {
 		After *Artifact `json:"after"`

@@ -57,13 +57,15 @@ func (o ExpOptions) duration(standard int64) int64 {
 func (o ExpOptions) pso(seed int64) *partition.PSO {
 	cfg := DefaultPSOConfig()
 	cfg.Seed = seed
-	// The sweep owns the parallelism budget: each job evaluates its swarm
-	// sequentially so Parallel bounds the busy goroutines instead of
-	// multiplying (Parallel × swarm workers). One exception: a job
-	// abandoned by a per-job Timeout keeps computing until it finishes
-	// (partitioners don't take a context), temporarily exceeding the
-	// budget. PSO results are bit-identical at every worker count, so
-	// this is purely a scheduling choice.
+	// The sweep owns the parallelism budget: with one worker a job steps
+	// its swarm inline on its own goroutine, so Parallel bounds the busy
+	// goroutines instead of multiplying (Parallel × swarm workers). A
+	// lone solve with no sweep around it (ablation-topology's) takes the
+	// whole budget instead. One exception: a job abandoned by a per-job
+	// Timeout keeps computing until it finishes (partitioners don't take
+	// a context), temporarily exceeding the budget. PSO results are
+	// bit-identical at every worker count, so this is purely a
+	// scheduling choice.
 	cfg.Workers = 1
 	if o.Quick {
 		cfg.SwarmSize = 30
@@ -590,15 +592,31 @@ func aerModeRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]
 }
 
 // topologyRows compares tree and mesh interconnects (NoC-tree as
-// in CxQuad versus NoC-mesh as in TrueNorth) under the same PSO mapping of
-// the image smoothing application.
+// in CxQuad versus NoC-mesh as in TrueNorth) under one PSO mapping of
+// the image smoothing application. Both interconnects have the same
+// crossbar count and size, so they pose one partitioning problem: the PSO
+// solves it once, with the sweep's whole parallelism budget (its output
+// is the same at every worker count), and each interconnect then places
+// and replays that assignment.
 func topologyRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any, error) {
 	app, err := apps.ImageSmoothing(AppConfig{Seed: opts.seed(), DurationMs: opts.duration(1000)})
 	if err != nil {
 		return nil, err
 	}
 	base := hardware.ForNeurons(app.Graph.Neurons, 256)
+	p, err := NewProblem(app.Graph, base.Crossbars, base.CrossbarSize)
+	if err != nil {
+		return nil, err
+	}
 	pso := opts.pso(opts.seed())
+	pso.Cfg.Workers = opts.Parallel
+	solved, err := valuesNamed(engine.Sweep(ctx, opts.engineConfig(), []*Problem{p},
+		func(_ context.Context, p *Problem) (Assignment, error) { return pso.Partition(p) }),
+		func(int) string { return "topology ablation PSO" })
+	if err != nil {
+		return nil, err
+	}
+	mapping := fixedAssignment{name: pso.Name(), a: solved[0]}
 	type variant struct {
 		name string
 		make func() Arch
@@ -617,7 +635,7 @@ func topologyRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][
 			if err != nil {
 				return nil, err
 			}
-			rep, err := pl.Run(ctx, pso)
+			rep, err := pl.Run(ctx, mapping)
 			if err != nil {
 				return nil, err
 			}
@@ -626,6 +644,19 @@ func topologyRows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][
 		})
 	return valuesNamed(results, func(i int) string { return "topology ablation " + kinds[i].name })
 }
+
+// fixedAssignment is a Partitioner that returns one precomputed
+// assignment under the name of the technique that computed it, so a
+// solution is placed and replayed on several interconnects without
+// being solved again.
+type fixedAssignment struct {
+	name string
+	a    Assignment
+}
+
+func (f fixedAssignment) Name() string { return f.name }
+
+func (f fixedAssignment) Partition(*Problem) (Assignment, error) { return f.a.Clone(), nil }
 
 func toTrain(times []int64) []int64 {
 	out := make([]int64, len(times))

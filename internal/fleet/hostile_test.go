@@ -13,6 +13,7 @@ import (
 	"time"
 
 	snnmap "repro"
+	"repro/internal/service"
 )
 
 // The hostile-peer tests pin the per-site body bounds of the fleet's
@@ -186,6 +187,72 @@ func TestRouterOversizedAnswerKeepsNodeAlive(t *testing.T) {
 	for _, n := range nodes {
 		if !rt.mon.alive(n) {
 			t.Fatalf("node %s declared dead over an oversized answer", n)
+		}
+	}
+}
+
+// TestRouterUnusableAnswerIs502 covers a submission every candidate
+// answered but none usably: an acceptance over maxBatchBytes, or one that
+// does not decode. The router answers 502 naming the bad answer, not 503
+// "no live workers", for a lone job and for a batch, and every node
+// stays alive.
+func TestRouterUnusableAnswerIs502(t *testing.T) {
+	oversized := []byte(`{"id":"w-1","pad":"` + strings.Repeat("x", maxBatchBytes+1) + `"}`)
+	for _, tc := range []struct {
+		name   string
+		answer []byte
+		want   string
+	}{
+		{"oversized", oversized, "over its"},
+		{"undecodable", []byte("not json"), "invalid character"},
+	} {
+		stub := func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if r.Method != http.MethodPost {
+				_, _ = w.Write([]byte("{}"))
+				return
+			}
+			w.WriteHeader(http.StatusAccepted)
+			_, _ = w.Write(tc.answer)
+		}
+		var nodes []string
+		for i := 0; i < 2; i++ {
+			s := httptest.NewServer(http.HandlerFunc(stub))
+			defer s.Close()
+			nodes = append(nodes, s.URL)
+		}
+		rt, err := NewRouter(RouterConfig{Peers: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Start()
+		defer rt.Close()
+		srv := httptest.NewServer(rt.Handler())
+		defer srv.Close()
+
+		for _, sub := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/jobs", tinyFleetSpec()},
+			{"/v1/batches", service.BatchRequest{Jobs: []snnmap.JobSpec{tinyFleetSpec()}}},
+		} {
+			resp, body := postJSON(t, srv.URL+sub.path, sub.body)
+			if resp.StatusCode != http.StatusBadGateway {
+				t.Fatalf("%s %s: answered %d %.200s, want 502", tc.name, sub.path, resp.StatusCode, body)
+			}
+			var eb struct{ Error, Code string }
+			if err := json.Unmarshal(body, &eb); err != nil {
+				t.Fatalf("%s %s: error body %.200s: %v", tc.name, sub.path, body, err)
+			}
+			if !strings.Contains(eb.Error, "answered 202 unusably") || !strings.Contains(eb.Error, tc.want) {
+				t.Fatalf("%s %s: error %q does not name the bad answer", tc.name, sub.path, eb.Error)
+			}
+		}
+		for _, n := range nodes {
+			if !rt.mon.alive(n) {
+				t.Fatalf("%s: node %s declared dead over an unusable answer", tc.name, n)
+			}
 		}
 	}
 }

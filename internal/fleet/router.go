@@ -423,20 +423,26 @@ func (rt *Router) postWithRetry(ctx context.Context, node, path string, body []b
 // content addressing makes cross-node placement safe, it only trades
 // cache locality for availability. Network failures retry under the
 // shared policy and count toward the node's death threshold; any other
-// status is a definitive answer, relayed without spilling. When no node
-// accepts, node is "" and rf is the refusal to relay (nil when no worker
+// status is a definitive answer, relayed without spilling. An answer the
+// router cannot use (a body over maxBatchBytes, or an acceptance that
+// does not decode) spills too. When no node accepts, node is "" and rf is
+// the last refusal (a 502 naming an unusable answer; nil when no worker
 // answered at all). unit seeds the per-target idempotency key.
 func submitTo[T any](ctx context.Context, rt *Router, candidates []string, path string, body []byte, tenant, unit string) (node string, out T, code int, rf *refusal) {
 	for _, n := range candidates {
 		rep, err := rt.postWithRetry(ctx, n, path, body, tenant, resilience.IdempotencyKey(unit, n), maxBatchBytes)
 		if err != nil {
-			continue // no usable answer; already counted
+			if rep.code != 0 {
+				rf = unusable(n, rep.code, err)
+			}
+			continue // already counted
 		}
 		switch rep.code {
 		case http.StatusOK, http.StatusAccepted:
 			var v T
-			if json.Unmarshal(rep.body, &v) != nil {
+			if err := json.Unmarshal(rep.body, &v); err != nil {
 				rt.metrics.proxyErrors.Inc()
+				rf = unusable(n, rep.code, err)
 				continue
 			}
 			return n, v, rep.code, nil
@@ -453,12 +459,20 @@ func submitTo[T any](ctx context.Context, rt *Router, candidates []string, path 
 	return "", out, 0, rf
 }
 
-// refusal is a worker response relayed verbatim.
+// refusal is a worker response relayed verbatim, or, when bad is set,
+// the router's own error about an answer it could not use.
 type refusal struct {
 	code        int
 	body        []byte
 	retryAfter  string
 	contentType string
+	bad         string
+}
+
+// unusable is the 502 refusal for node's answer with status code whose
+// body failed with err.
+func unusable(node string, code int, err error) *refusal {
+	return &refusal{code: http.StatusBadGateway, bad: fmt.Sprintf("worker %s answered %d unusably: %v", node, code, err)}
 }
 
 // relayRefusal answers with a worker's refusal, or — nil, when no
@@ -466,6 +480,10 @@ type refusal struct {
 func (rt *Router) relayRefusal(w http.ResponseWriter, rf *refusal) {
 	if rf == nil {
 		service.WriteBackpressure(w, http.StatusServiceUnavailable, "no live workers")
+		return
+	}
+	if rf.bad != "" {
+		service.WriteError(w, rf.code, "%s", rf.bad)
 		return
 	}
 	ct := rf.contentType

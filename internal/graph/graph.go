@@ -162,6 +162,9 @@ func (g *SpikeGraph) GroupOf(i int) *Group {
 type CSR struct {
 	Start    []int32   // length Neurons+1
 	Synapses []Synapse // sorted by Pre (stable within Pre)
+	// Post holds Synapses[q].Post at every q: the fitness loops read a
+	// 4-byte index per synapse instead of a 24-byte record.
+	Post []int32
 }
 
 // CSR returns the graph's CSR adjacency, building it on first use and
@@ -186,12 +189,21 @@ func (g *SpikeGraph) BuildCSR() *CSR {
 	for i := 1; i <= g.Neurons; i++ {
 		start[i] += start[i-1]
 	}
-	return &CSR{Start: start, Synapses: syn}
+	post := make([]int32, len(syn))
+	for q, s := range syn {
+		post[q] = s.Post
+	}
+	return &CSR{Start: start, Synapses: syn, Post: post}
 }
 
 // Out returns the synapses with pre-synaptic neuron i.
 func (c *CSR) Out(i int) []Synapse {
 	return c.Synapses[c.Start[i]:c.Start[i+1]]
+}
+
+// OutPost returns the post-synaptic neurons of i, in Out(i)'s order.
+func (c *CSR) OutPost(i int) []int32 {
+	return c.Post[c.Start[i]:c.Start[i+1]]
 }
 
 // WriteJSON serializes the graph to w as JSON.

@@ -141,8 +141,12 @@ func TestCSRProperty(t *testing.T) {
 		// Every synapse of pre i must appear in Out(i), and counts match.
 		count := 0
 		for i := 0; i < n; i++ {
-			for _, s := range csr.Out(i) {
-				if int(s.Pre) != i {
+			posts := csr.OutPost(i)
+			if len(posts) != len(csr.Out(i)) {
+				return false
+			}
+			for q, s := range csr.Out(i) {
+				if int(s.Pre) != i || posts[q] != s.Post {
 					return false
 				}
 				count++

@@ -15,6 +15,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -43,6 +44,20 @@ type Problem struct {
 	counts []int64    // spikes per neuron
 	csr    *graph.CSR // out-adjacency
 	inCSR  inAdj      // in-adjacency with traffic weights, for deltas
+	// active lists the neurons that spike and have an outgoing synapse,
+	// the only ones whose synapses can put traffic on the interconnect,
+	// except those in shared.
+	active []int32
+	// shared holds the runs of two or more consecutive spiking neurons
+	// with one post list (the neurons of a fully connected layer): Cost
+	// reads a shared list once per assignment.
+	shared []fanRun
+}
+
+// fanRun is a run of spiking neurons with identical post lists.
+type fanRun struct {
+	posts   []int32
+	members []int32
 }
 
 // inAdj is a CSR of incoming synapses: for neuron j, the pre neurons and
@@ -77,8 +92,28 @@ func NewProblem(g *graph.SpikeGraph, crossbars, crossbarSize int) (*Problem, err
 		counts:       g.SpikeCounts(),
 		csr:          g.CSR(),
 	}
-	// Build the in-adjacency.
 	n := g.Neurons
+	var run fanRun
+	flush := func() {
+		if len(run.members) > 1 {
+			p.shared = append(p.shared, run)
+		} else {
+			p.active = append(p.active, run.members...)
+		}
+	}
+	for i := 0; i < n; i++ {
+		posts := p.csr.OutPost(i)
+		if p.counts[i] == 0 || len(posts) == 0 {
+			continue
+		}
+		if !slices.Equal(posts, run.posts) {
+			flush()
+			run = fanRun{posts: posts}
+		}
+		run.members = append(run.members, int32(i))
+	}
+	flush()
+	// Build the in-adjacency.
 	start := make([]int32, n+1)
 	for _, s := range g.Synapses {
 		start[s.Post+1]++
@@ -139,19 +174,62 @@ func (p *Problem) Loads(a Assignment) []int {
 // pre-synaptic neuron.
 func (p *Problem) Cost(a Assignment) int64 {
 	var total int64
-	for i := 0; i < p.Graph.Neurons; i++ {
-		ai := a[i]
-		ci := p.counts[i]
-		if ci == 0 {
+	for _, i := range p.active {
+		total += p.outTraffic(a, i, p.csr.OutPost(int(i)))
+	}
+	var hist [histCrossbars]int32
+	for _, run := range p.shared {
+		if !p.histogram(&hist, a, run.posts) {
+			for _, i := range run.members {
+				total += p.outTraffic(a, i, run.posts)
+			}
 			continue
 		}
-		for _, s := range p.csr.Out(i) {
-			if a[s.Post] != ai {
-				total += ci
+		// A member's crossing synapses are the posts off its crossbar.
+		for _, i := range run.members {
+			crossing := int64(len(run.posts))
+			if k := a[i]; uint(k) < uint(p.Crossbars) {
+				crossing -= int64(hist[k])
 			}
+			total += crossing * p.counts[i]
 		}
 	}
 	return total
+}
+
+// outTraffic is the spikes neuron i sends over the interconnect to posts.
+func (p *Problem) outTraffic(a Assignment, i int32, posts []int32) int64 {
+	ai, ci := a[i], p.counts[i]
+	var total int64
+	for _, post := range posts {
+		if a[post] != ai {
+			total += ci
+		}
+	}
+	return total
+}
+
+// histCrossbars bounds the crossbar count whose per-crossbar post counts
+// Cost keeps on the stack.
+const histCrossbars = 64
+
+// histogram fills hist[k] with the number of posts on crossbar k. It
+// reports false, and Cost counts directly, when C exceeds histCrossbars
+// or a post is assigned outside [0, C).
+func (p *Problem) histogram(hist *[histCrossbars]int32, a Assignment, posts []int32) bool {
+	if p.Crossbars > histCrossbars {
+		return false
+	}
+	h := hist[:p.Crossbars]
+	clear(h)
+	for _, post := range posts {
+		k := a[post]
+		if uint(k) >= uint(len(h)) {
+			return false
+		}
+		h[k]++
+	}
+	return true
 }
 
 // CostDelta returns Cost(a with neuron moved to dst) − Cost(a) without
@@ -164,8 +242,8 @@ func (p *Problem) CostDelta(a Assignment, neuron, dst int) int64 {
 	var delta int64
 	cn := p.counts[neuron]
 	// Outgoing synapses: crossing state flips based on the post location.
-	for _, s := range p.csr.Out(neuron) {
-		post := int(s.Post)
+	for _, post := range p.csr.OutPost(neuron) {
+		post := int(post)
 		if post == neuron {
 			continue
 		}
@@ -227,8 +305,8 @@ func (p *Problem) TrafficMatrix(a Assignment) [][]int64 {
 		if ci == 0 {
 			continue
 		}
-		for _, s := range p.csr.Out(i) {
-			if aj := a[s.Post]; aj != ai {
+		for _, post := range p.csr.OutPost(i) {
+			if aj := a[post]; aj != ai {
 				m[ai][aj] += ci
 			}
 		}

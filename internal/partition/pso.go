@@ -112,38 +112,70 @@ func (o *PSO) Reseed(seed int64) Partitioner {
 // particle is one swarm member: a velocity matrix over (neuron, crossbar)
 // dimensions, the current binarized position, and the particle's best.
 type particle struct {
-	vel         []float32 // N*C, row-major by neuron
-	pos         Assignment
-	cost        int64
-	best        Assignment
-	bestCost    int64
-	rng         *rand.Rand
-	loadScratch []int
-	probScratch []float64
+	vel      []float32 // N*C, row-major by neuron
+	pos      Assignment
+	cost     int64
+	best     Assignment
+	bestCost int64
+	// guide is the position the particle follows this iteration: the
+	// swarm's gbest, or under lbest its own buffer holding a snapshot of
+	// the neighbourhood best (neighbours' bests move while it steps).
+	guide Assignment
+	rng   *rand.Rand
+	loads []int
+	probs []float64
+	work  psoWork
+}
+
+// psoWork counts the work a PSO run computed. It depends only on the
+// problem and the configuration, so tests pin it where wall clocks drift.
+type psoWork struct {
+	fitness   int64 // Problem.Cost evaluations
+	sigmoids  int64 // sigmoid exponentials computed in repair
+	clampHits int64 // sigmoids of a velocity on the ±VMax clamp, precomputed
+}
+
+func (w *psoWork) add(o psoWork) {
+	w.fitness += o.fitness
+	w.sigmoids += o.sigmoids
+	w.clampHits += o.clampHits
+}
+
+// swarmRun is the state every particle of one Partition call shares.
+type swarmRun struct {
+	p            *Problem
+	cfg          PSOConfig
+	vmax         float32
+	sigHi, sigLo float64 // sigmoid(±vmax)
 }
 
 // Partition implements Partitioner.
 func (o *PSO) Partition(p *Problem) (Assignment, error) {
+	a, _, err := o.solve(p)
+	return a, err
+}
+
+// solve is Partition that also reports the work it computed.
+func (o *PSO) solve(p *Problem) (Assignment, psoWork, error) {
+	var work psoWork
 	cfg := o.Cfg
 	if cfg.SwarmSize < 1 {
-		return nil, errors.New("partition: PSO swarm size < 1")
+		return nil, work, errors.New("partition: PSO swarm size < 1")
 	}
 	if cfg.Iterations < 1 {
-		return nil, errors.New("partition: PSO iterations < 1")
+		return nil, work, errors.New("partition: PSO iterations < 1")
 	}
 	n, c := p.Graph.Neurons, p.Crossbars
 	if n == 0 {
-		return Assignment{}, nil
+		return Assignment{}, work, nil
 	}
 	if c == 1 {
-		return make(Assignment, n), nil
+		return make(Assignment, n), work, nil
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
+	vmax := float32(cfg.VMax)
+	run := &swarmRun{p: p, cfg: cfg, vmax: vmax,
+		sigHi: sigmoid(float64(vmax)), sigLo: sigmoid(-float64(vmax))}
 	master := rand.New(rand.NewSource(cfg.Seed))
 	var seeds []Assignment
 	if !cfg.DisableSeeding {
@@ -156,11 +188,11 @@ func (o *PSO) Partition(p *Problem) (Assignment, error) {
 	swarm := make([]*particle, cfg.SwarmSize)
 	for s := range swarm {
 		pt := &particle{
-			vel:         make([]float32, n*c),
-			pos:         make(Assignment, n),
-			rng:         rand.New(rand.NewSource(master.Int63())),
-			loadScratch: make([]int, c),
-			probScratch: make([]float64, c),
+			vel:   make([]float32, n*c),
+			pos:   make(Assignment, n),
+			rng:   rand.New(rand.NewSource(master.Int63())),
+			loads: make([]int, c),
+			probs: make([]float64, c),
 		}
 		if s < len(seeds) {
 			// Heuristic seed: adopt the baseline position exactly and
@@ -180,9 +212,10 @@ func (o *PSO) Partition(p *Problem) (Assignment, error) {
 			for d := range pt.vel {
 				pt.vel[d] = float32((pt.rng.Float64()*2 - 1) * cfg.VMax)
 			}
-			pt.repair(p)
+			run.repair(pt)
 		}
 		pt.cost = p.Cost(pt.pos)
+		pt.work.fitness++
 		pt.best = pt.pos.Clone()
 		pt.bestCost = pt.cost
 		swarm[s] = pt
@@ -196,58 +229,64 @@ func (o *PSO) Partition(p *Problem) (Assignment, error) {
 			copy(gbest, pt.best)
 		}
 	}
-
-	// neighborhoodBest returns the guide position for particle s: the
-	// swarm-wide best (gbest PSO), or the best particle within the ring
-	// neighborhood of radius K (lbest PSO).
-	neighborhoodBest := func(s int) Assignment {
-		if cfg.NeighborhoodK <= 0 {
-			return gbest
+	for _, pt := range swarm {
+		if cfg.NeighborhoodK > 0 {
+			pt.guide = make(Assignment, n)
+		} else {
+			pt.guide = gbest
 		}
-		np := len(swarm)
-		best := swarm[s]
-		for d := 1; d <= cfg.NeighborhoodK; d++ {
-			for _, idx := range []int{(s + d) % np, (s - d + np) % np} {
-				if swarm[idx].bestCost < best.bestCost {
-					best = swarm[idx]
-				}
-			}
-		}
-		return best.best
 	}
 
-	type job struct {
-		pt    *particle
-		guide Assignment
-	}
-	for iter := 0; iter < cfg.Iterations; iter++ {
-		// Snapshot guides before dispatching: workers mutate particle
-		// bests concurrently, and lbest guides alias neighbours' bests.
-		guides := make([]Assignment, len(swarm))
-		for s := range swarm {
-			if cfg.NeighborhoodK <= 0 {
-				guides[s] = gbest
-			} else {
-				guides[s] = neighborhoodBest(s).Clone()
-			}
+	stepAll := func() {
+		for _, pt := range swarm {
+			run.step(pt)
 		}
-
+	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, len(swarm)); workers > 1 {
+		// One pool serves every iteration; particles are independent
+		// within an iteration, so the result is the same at any count.
 		var wg sync.WaitGroup
-		work := make(chan job)
+		jobs := make(chan *particle)
+		defer close(jobs)
 		for w := 0; w < workers; w++ {
-			wg.Add(1)
 			go func() {
-				defer wg.Done()
-				for j := range work {
-					j.pt.step(p, cfg, j.guide)
+				for pt := range jobs {
+					run.step(pt)
+					wg.Done()
 				}
 			}()
 		}
-		for s, pt := range swarm {
-			work <- job{pt: pt, guide: guides[s]}
+		stepAll = func() {
+			wg.Add(len(swarm))
+			for _, pt := range swarm {
+				jobs <- pt
+			}
+			wg.Wait()
 		}
-		close(work)
-		wg.Wait()
+	}
+	for iter := 0; iter < cfg.Iterations; iter++ {
+		if cfg.NeighborhoodK > 0 {
+			// lbest: each particle follows the best particle within the
+			// ring neighbourhood of radius K.
+			np := len(swarm)
+			for s, pt := range swarm {
+				best := swarm[s]
+				for d := 1; d <= cfg.NeighborhoodK; d++ {
+					if q := swarm[(s+d)%np]; q.bestCost < best.bestCost {
+						best = q
+					}
+					if q := swarm[(s-d+np)%np]; q.bestCost < best.bestCost {
+						best = q
+					}
+				}
+				copy(pt.guide, best.best)
+			}
+		}
+		stepAll()
 
 		// Synchronous gbest update after the full swarm moved.
 		for _, pt := range swarm {
@@ -261,50 +300,78 @@ func (o *PSO) Partition(p *Problem) (Assignment, error) {
 		}
 	}
 
-	if err := p.Validate(gbest); err != nil {
-		return nil, fmt.Errorf("partition: PSO internal error: %w", err)
+	for _, pt := range swarm {
+		work.add(pt.work)
 	}
-	return gbest, nil
+	if err := p.Validate(gbest); err != nil {
+		return nil, work, fmt.Errorf("partition: PSO internal error: %w", err)
+	}
+	return gbest, work, nil
 }
 
 // step performs one velocity update (Eq. 1), binarization (Eq. 2–3), and
 // constraint repair (Eq. 4–5) for one particle, then re-evaluates fitness.
-func (pt *particle) step(p *Problem, cfg PSOConfig, gbest Assignment) {
-	n, c := p.Graph.Neurons, p.Crossbars
-	vmax := float32(cfg.VMax)
-	for i := 0; i < n; i++ {
-		row := pt.vel[i*c : (i+1)*c]
-		xi := pt.pos[i]
-		pb := pt.best[i]
-		gb := gbest[i]
-		r1 := pt.rng.Float64()
-		r2 := pt.rng.Float64()
-		for k := range row {
-			x, pbx, gbx := float64(0), float64(0), float64(0)
-			if xi == k {
-				x = 1
+//
+// In a neuron's row, (pbx − x) and (gbx − x) of Eq. 1 are zero at every
+// crossbar but the particle's own (xi), its best's (pb) and its guide's
+// (gb), so there the update is the inertia term alone; those three are
+// then redone from their saved old velocities with the full formula. For
+// finite Phi1 and Phi2 the rows equal a full per-crossbar evaluation up to
+// the sign of a zero velocity, which no clamp, product or sigmoid sees.
+func (r *swarmRun) step(pt *particle) {
+	c := r.p.Crossbars
+	inertia, phi1, phi2 := r.cfg.Inertia, r.cfg.Phi1, r.cfg.Phi2
+	vmax := float64(r.vmax)
+	for i, xi := range pt.pos {
+		row := pt.vel[i*c : (i+1)*c : (i+1)*c]
+		pb, gb := pt.best[i], pt.guide[i]
+		a1 := phi1 * pt.rng.Float64()
+		a2 := phi2 * pt.rng.Float64()
+		vx, vpb, vgb := row[xi], row[pb], row[gb]
+		for k, v := range row {
+			u := inertia * float64(v)
+			if u > vmax {
+				u = vmax
+			} else if u < -vmax {
+				u = -vmax
 			}
-			if pb == k {
-				pbx = 1
-			}
-			if gb == k {
-				gbx = 1
-			}
-			v := cfg.Inertia*float64(row[k]) + cfg.Phi1*r1*(pbx-x) + cfg.Phi2*r2*(gbx-x)
-			if v > float64(vmax) {
-				v = float64(vmax)
-			} else if v < -float64(vmax) {
-				v = -float64(vmax)
-			}
-			row[k] = float32(v)
+			row[k] = float32(u)
+		}
+		row[xi] = velocity(vx, inertia, a1, a2, 1, bit(pb == xi), bit(gb == xi), vmax)
+		if pb != xi {
+			row[pb] = velocity(vpb, inertia, a1, a2, 0, 1, bit(gb == pb), vmax)
+		}
+		if gb != xi && gb != pb {
+			row[gb] = velocity(vgb, inertia, a1, a2, 0, 0, 1, vmax)
 		}
 	}
-	pt.repair(p)
-	pt.cost = p.Cost(pt.pos)
+	r.repair(pt)
+	pt.cost = r.p.Cost(pt.pos)
+	pt.work.fitness++
 	if pt.cost < pt.bestCost {
 		pt.bestCost = pt.cost
 		copy(pt.best, pt.pos)
 	}
+}
+
+// velocity is Eq. 1 at one crossbar, clamped to ±vmax: v is the old
+// velocity, a1 and a2 are Phi1·r1 and Phi2·r2, and x, pbx and gbx are the
+// crossbar's bits in the position, the particle's best and its guide.
+func velocity(v float32, inertia, a1, a2, x, pbx, gbx, vmax float64) float32 {
+	u := inertia*float64(v) + a1*(pbx-x) + a2*(gbx-x)
+	if u > vmax {
+		u = vmax
+	} else if u < -vmax {
+		u = -vmax
+	}
+	return float32(u)
+}
+
+func bit(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // repair binarizes the velocity matrix into a feasible assignment: each
@@ -312,23 +379,34 @@ func (pt *particle) step(p *Problem, cfg PSOConfig, gbest Assignment) {
 // sigmoid(v_{i,k}) (Eq. 2–3) restricted to crossbars with remaining
 // capacity, guaranteeing Eq. 4 (one crossbar per neuron) and Eq. 5
 // (≤ Nc neurons per crossbar).
-func (pt *particle) repair(p *Problem) {
-	n, c := p.Graph.Neurons, p.Crossbars
-	loads := pt.loadScratch
-	for k := range loads {
-		loads[k] = 0
-	}
-	probs := pt.probScratch
-	for i := 0; i < n; i++ {
-		row := pt.vel[i*c : (i+1)*c]
+func (r *swarmRun) repair(pt *particle) {
+	c, size := r.p.Crossbars, r.p.CrossbarSize
+	vmax := r.vmax
+	loads, probs := pt.loads[:c], pt.probs[:c]
+	clear(loads)
+	var sigmoids, clampHits int64
+	for i := range pt.pos {
+		row := pt.vel[i*c : (i+1)*c : (i+1)*c]
 		var sum float64
-		for k := 0; k < c; k++ {
-			if loads[k] >= p.CrossbarSize {
+		for k, v := range row {
+			if loads[k] >= size {
 				probs[k] = 0
 				continue
 			}
-			probs[k] = sigmoid(float64(row[k]))
-			sum += probs[k]
+			var pr float64
+			switch v {
+			case vmax:
+				pr = r.sigHi
+				clampHits++
+			case -vmax:
+				pr = r.sigLo
+				clampHits++
+			default:
+				pr = sigmoid(float64(v))
+				sigmoids++
+			}
+			probs[k] = pr
+			sum += pr
 		}
 		var chosen int
 		if sum <= 0 {
@@ -336,7 +414,7 @@ func (pt *particle) repair(p *Problem) {
 			// to the least loaded open crossbar.
 			chosen = -1
 			for k := 0; k < c; k++ {
-				if loads[k] >= p.CrossbarSize {
+				if loads[k] >= size {
 					continue
 				}
 				if chosen < 0 || loads[k] < loads[chosen] {
@@ -344,15 +422,15 @@ func (pt *particle) repair(p *Problem) {
 				}
 			}
 		} else {
-			r := pt.rng.Float64() * sum
+			u := pt.rng.Float64() * sum
 			chosen = -1
-			for k := 0; k < c; k++ {
-				if probs[k] <= 0 {
+			for k, pr := range probs {
+				if pr <= 0 {
 					continue
 				}
-				r -= probs[k]
+				u -= pr
 				chosen = k
-				if r <= 0 {
+				if u <= 0 {
 					break
 				}
 			}
@@ -360,6 +438,8 @@ func (pt *particle) repair(p *Problem) {
 		pt.pos[i] = chosen
 		loads[chosen]++
 	}
+	pt.work.sigmoids += sigmoids
+	pt.work.clampHits += clampHits
 }
 
 func sigmoid(v float64) float64 {

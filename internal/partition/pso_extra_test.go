@@ -143,3 +143,29 @@ func TestSwapDeltaMatchesFullRecompute(t *testing.T) {
 		t.Fatal("degenerate swaps must cost 0")
 	}
 }
+
+// TestPSOWorkCount pins the work one PSO run computes: a fitness
+// evaluation per particle at start and per particle-iteration, and one
+// sigmoid per open (neuron, crossbar) pair of every repair, an
+// exponential unless the velocity sits on the ±VMax clamp. The counts
+// depend only on the problem and the configuration, never on the worker
+// count.
+func TestPSOWorkCount(t *testing.T) {
+	g := chainGraph(3, 16, 5)
+	p, err := NewProblem(g, 4, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The frozen PSO computes all 44,184 exponentials; the 2,390 on the
+	// clamp are now two precomputed values.
+	want := psoWork{fitness: 12 * 21, sigmoids: 41794, clampHits: 2390}
+	for _, workers := range []int{1, 3} {
+		_, got, err := NewPSO(PSOConfig{SwarmSize: 12, Iterations: 20, Seed: 5, Workers: workers}).solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("workers=%d: work %+v, want %+v", workers, got, want)
+		}
+	}
+}

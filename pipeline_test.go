@@ -313,10 +313,10 @@ func TestPipelineRunAllocBudgetWarm(t *testing.T) {
 }
 
 // TestPartitionerAllocBudget is the per-stage allocation contract of the
-// partitioners the warm pipeline runs most: one Partition call of greedy,
-// kl and hypercut on a 512-neuron modular app sized for the tree
-// interconnect. Each budget is the measured value plus slack, so a
-// regression names the stage that broke it.
+// partitioners: one Partition call of greedy, kl, hypercut, pso, sa and
+// ga on a 512-neuron modular app sized for the tree interconnect. Each
+// budget is the measured value plus slack, so a regression names the
+// stage that broke it.
 func TestPartitionerAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budgets are measured in the full suite")
@@ -335,16 +335,25 @@ func TestPartitionerAllocBudget(t *testing.T) {
 	}
 	// Measured on linux/amd64, go1.24 (allocs, bytes per call): greedy
 	// 5 and 12,352; kl 9 and 32,960 (the n×C affinity table is 16 KiB of
-	// it); hypercut 20 and 68,218.
+	// it); hypercut 20 and 68,218. The stochastic ones run the quick
+	// experiments' 30×30 budget on one worker: pso 259 and 693,114 (per
+	// particle its velocity matrix, positions, buffers and RNG); sa 8 and
+	// 17,792; ga 2,797 and 3,998,520 (a child and its load vectors per
+	// offspring).
+	quick := PartitionerSpec{SwarmSize: 30, Iterations: 30, Workers: 1}
 	for _, tc := range []struct {
 		name                string
+		spec                PartitionerSpec
 		maxAllocs, maxBytes float64
 	}{
-		{"greedy", 8, 16 << 10},
-		{"kl", 12, 40 << 10},
-		{"hypercut", 24, 80 << 10},
+		{"greedy", PartitionerSpec{}, 8, 16 << 10},
+		{"kl", PartitionerSpec{}, 12, 40 << 10},
+		{"hypercut", PartitionerSpec{}, 24, 80 << 10},
+		{"pso", quick, 300, 800 << 10},
+		{"sa", PartitionerSpec{}, 12, 24 << 10},
+		{"ga", quick, 3100, 4400 << 10},
 	} {
-		pt, err := NewPartitioner(tc.name, PartitionerSpec{})
+		pt, err := NewPartitioner(tc.name, tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
