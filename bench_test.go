@@ -48,9 +48,10 @@ func BenchmarkFig5Sweep(b *testing.B) {
 // BenchmarkPipelineWarmVsCold measures what the session API amortizes: a
 // Fig. 5-style technique sweep (NEUTRAMS, PACMAN, greedy — deterministic,
 // so no optimizer time drowns the signal) on one application, run cold
-// (a single-use session per run: the problem instance — in-adjacency,
-// spike counts — and the interconnect topology rebuilt for every
-// technique) versus warm (one NewPipeline serving the whole sweep). The
+// (a single-use session per run: the problem instance — spike counts,
+// the fitness's neuron lists — and the interconnect topology rebuilt for
+// every technique; the graph's adjacencies are memoized per graph)
+// versus warm (one NewPipeline serving the whole sweep). The
 // workload is synapse-heavy and spike-light (366k synapses, a 10 ms
 // characterization) so the per-run construction the session amortizes is
 // visible next to the mapping stages themselves; expect warm to win by
@@ -410,6 +411,17 @@ func BenchmarkPlacement(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSessionBuildDR measures the session build the budget test
+// pins (buildSessionDR): digit recognition characterized for the quick
+// 250 ms, its spike graph and adjacencies, and a warm session on the
+// quad architecture. Run it with -benchmem: allocs/op and B/op are the
+// numbers that repeat.
+func BenchmarkSessionBuildDR(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		buildSessionDR(b)
 	}
 }
 

@@ -28,8 +28,8 @@ func aerExpectations(g *SpikeGraph, assign Assignment, crossbars int) (perSynaps
 			seen[k] = false
 		}
 		var crossing, dsts int64
-		for _, s := range csr.Out(i) {
-			if k := assign[s.Post]; k != assign[i] {
+		for _, post := range csr.OutPost(i) {
+			if k := assign[post]; k != assign[i] {
 				crossing++
 				if !seen[k] {
 					seen[k] = true

@@ -151,8 +151,8 @@ func (d WorkloadDelta) Touched(g *SpikeGraph) []int {
 				continue
 			}
 			seen[rs.Neuron] = true
-			for _, s := range csr.Out(rs.Neuron) {
-				seen[int(s.Post)] = true
+			for _, post := range csr.OutPost(rs.Neuron) {
+				seen[int(post)] = true
 			}
 		}
 	}

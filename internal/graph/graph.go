@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/spike"
@@ -53,6 +52,9 @@ type SpikeGraph struct {
 	// and every concurrent sweep job.
 	csrOnce  sync.Once
 	csrCache *CSR
+	// inOnce/inCache memoize the in-adjacency (see InCSR).
+	inOnce  sync.Once
+	inCache *InCSR
 	// hgOnce/hgCache memoize the hyperedge view (see Hypergraph) under
 	// the same immutability contract.
 	hgOnce  sync.Once
@@ -157,14 +159,12 @@ func (g *SpikeGraph) GroupOf(i int) *Group {
 }
 
 // CSR is a compressed sparse row view of the synapse list, indexed by
-// pre-synaptic neuron: synapses of neuron i are Synapses[Start[i]:Start[i+1]].
-// Partitioners use it for cache-friendly fitness evaluation.
+// pre-synaptic neuron: the posts of neuron i are Post[Start[i]:Start[i+1]],
+// in synapse-list order. Partitioners use it for cache-friendly fitness
+// evaluation.
 type CSR struct {
-	Start    []int32   // length Neurons+1
-	Synapses []Synapse // sorted by Pre (stable within Pre)
-	// Post holds Synapses[q].Post at every q: the fitness loops read a
-	// 4-byte index per synapse instead of a 24-byte record.
-	Post []int32
+	Start []int32 // length Neurons+1
+	Post  []int32 // a 4-byte post index per synapse, grouped by pre
 }
 
 // CSR returns the graph's CSR adjacency, building it on first use and
@@ -179,31 +179,69 @@ func (g *SpikeGraph) CSR() *CSR {
 // BuildCSR constructs a fresh CSR adjacency of the graph. Most callers
 // want the cached CSR method instead.
 func (g *SpikeGraph) BuildCSR() *CSR {
-	syn := make([]Synapse, len(g.Synapses))
-	copy(syn, g.Synapses)
-	sort.SliceStable(syn, func(a, b int) bool { return syn[a].Pre < syn[b].Pre })
-	start := make([]int32, g.Neurons+1)
-	for _, s := range syn {
-		start[s.Pre+1]++
-	}
-	for i := 1; i <= g.Neurons; i++ {
-		start[i] += start[i-1]
-	}
-	post := make([]int32, len(syn))
-	for q, s := range syn {
-		post[q] = s.Post
-	}
-	return &CSR{Start: start, Synapses: syn, Post: post}
+	start, post := g.adjacency(false)
+	return &CSR{Start: start, Post: post}
 }
 
-// Out returns the synapses with pre-synaptic neuron i.
-func (c *CSR) Out(i int) []Synapse {
-	return c.Synapses[c.Start[i]:c.Start[i+1]]
-}
-
-// OutPost returns the post-synaptic neurons of i, in Out(i)'s order.
+// OutPost returns the post-synaptic neurons of i, in synapse-list order.
 func (c *CSR) OutPost(i int) []int32 {
 	return c.Post[c.Start[i]:c.Start[i+1]]
+}
+
+// InCSR is the in-adjacency of the synapse list, indexed by post-synaptic
+// neuron: the pres of neuron j are Pre[Start[j]:Start[j+1]], in
+// synapse-list order.
+type InCSR struct {
+	Start []int32 // length Neurons+1
+	Pre   []int32 // a 4-byte pre index per synapse, grouped by post
+}
+
+// InCSR returns the graph's in-adjacency, memoized like CSR and under the
+// same immutability contract.
+func (g *SpikeGraph) InCSR() *InCSR {
+	g.inOnce.Do(func() {
+		start, pre := g.adjacency(true)
+		g.inCache = &InCSR{Start: start, Pre: pre}
+	})
+	return g.inCache
+}
+
+// InPre returns the pre-synaptic neurons of j, in synapse-list order.
+func (c *InCSR) InPre(j int) []int32 {
+	return c.Pre[c.Start[j]:c.Start[j+1]]
+}
+
+// adjacency counting-sorts the synapse list by pre (or by post when in
+// is set) and returns the bucket offsets and each synapse's other
+// endpoint. Placement walks the list in order, so each bucket keeps
+// synapse-list order.
+func (g *SpikeGraph) adjacency(in bool) (start, other []int32) {
+	n := g.Neurons
+	start = make([]int32, n+1)
+	for _, s := range g.Synapses {
+		key := s.Pre
+		if in {
+			key = s.Post
+		}
+		start[key+1]++
+	}
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	// Place through start[key] as the bucket cursor; afterwards start[i]
+	// holds bucket i's end, which is bucket i+1's start.
+	other = make([]int32, len(g.Synapses))
+	for _, s := range g.Synapses {
+		key, val := s.Pre, s.Post
+		if in {
+			key, val = s.Post, s.Pre
+		}
+		other[start[key]] = val
+		start[key]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	return start, other
 }
 
 // WriteJSON serializes the graph to w as JSON.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -108,53 +109,72 @@ func TestGroupOf(t *testing.T) {
 func TestBuildCSR(t *testing.T) {
 	g := testGraph()
 	csr := g.BuildCSR()
-	out0 := csr.Out(0)
-	if len(out0) != 2 || out0[0].Post != 1 || out0[1].Post != 3 {
-		t.Fatalf("Out(0) = %v", out0)
+	if out0 := csr.OutPost(0); !reflect.DeepEqual(out0, []int32{1, 3}) {
+		t.Fatalf("OutPost(0) = %v", out0)
 	}
-	if len(csr.Out(3)) != 0 {
-		t.Fatal("Out(3) should be empty")
+	if len(csr.OutPost(3)) != 0 {
+		t.Fatal("OutPost(3) should be empty")
 	}
-	// CSR must preserve the total synapse count.
-	total := 0
-	for i := 0; i < g.Neurons; i++ {
-		total += len(csr.Out(i))
+	if len(csr.Post) != len(g.Synapses) {
+		t.Fatalf("CSR total %d != %d", len(csr.Post), len(g.Synapses))
 	}
-	if total != len(g.Synapses) {
-		t.Fatalf("CSR total %d != %d", total, len(g.Synapses))
+	in := g.InCSR()
+	if in3 := in.InPre(3); !reflect.DeepEqual(in3, []int32{2, 0}) {
+		t.Fatalf("InPre(3) = %v", in3)
+	}
+	if len(in.InPre(0)) != 0 {
+		t.Fatal("InPre(0) should be empty")
+	}
+	if g.CSR() != g.CSR() || g.InCSR() != in {
+		t.Fatal("CSR and InCSR must be memoized")
 	}
 }
 
+// TestCSRProperty pins the counting-placement adjacencies to the frozen
+// builds they replaced (referenceCSR, referenceInAdj) on random graphs
+// with self-loops, parallel synapses and neurons of degree zero: every
+// offset and every endpoint, in order.
 func TestCSRProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
+		n := 1 + rng.Intn(40)
 		g := &SpikeGraph{Neurons: n, Spikes: make([]spike.Train, n)}
-		m := rng.Intn(100)
+		m := rng.Intn(200)
 		for i := 0; i < m; i++ {
 			g.Synapses = append(g.Synapses, Synapse{
-				Pre:  int32(rng.Intn(n)),
-				Post: int32(rng.Intn(n)),
+				Pre:     int32(rng.Intn(n)),
+				Post:    int32(rng.Intn(n)),
+				Weight:  rng.Float64(),
+				DelayMs: int32(rng.Intn(4)),
 			})
 		}
+		start, syn := referenceCSR(g)
+		post := make([]int32, len(syn))
+		for q, s := range syn {
+			post[q] = s.Post
+		}
 		csr := g.BuildCSR()
-		// Every synapse of pre i must appear in Out(i), and counts match.
-		count := 0
+		if !slices.Equal(csr.Start, start) || !slices.Equal(csr.Post, post) {
+			return false
+		}
 		for i := 0; i < n; i++ {
-			posts := csr.OutPost(i)
-			if len(posts) != len(csr.Out(i)) {
+			if !slices.Equal(csr.OutPost(i), post[start[i]:start[i+1]]) {
 				return false
 			}
-			for q, s := range csr.Out(i) {
-				if int(s.Pre) != i || posts[q] != s.Post {
-					return false
-				}
-				count++
+		}
+		inStart, pre := referenceInAdj(g)
+		in := g.InCSR()
+		if !slices.Equal(in.Start, inStart) || !slices.Equal(in.Pre, pre) {
+			return false
+		}
+		for j := 0; j < n; j++ {
+			if !slices.Equal(in.InPre(j), pre[inStart[j]:inStart[j+1]]) {
+				return false
 			}
 		}
-		return count == m
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -48,14 +48,12 @@ func (g *SpikeGraph) BuildHypergraph() *Hypergraph {
 	n := g.Neurons
 	h := &Hypergraph{
 		Start:  make([]int32, n+1),
-		Pins:   make([]int32, 0, n+len(csr.Synapses)),
+		Pins:   make([]int32, 0, n+len(csr.Post)),
 		Weight: g.SpikeCounts(),
 	}
 	for i := 0; i < n; i++ {
 		h.Pins = append(h.Pins, int32(i))
-		for _, s := range csr.Out(i) {
-			h.Pins = append(h.Pins, s.Post)
-		}
+		h.Pins = append(h.Pins, csr.OutPost(i)...)
 		h.Start[i+1] = int32(len(h.Pins))
 	}
 	return h

@@ -52,10 +52,10 @@ type Report struct {
 // (disorder) and the previous delivery per spike stream (ISI), so memory
 // is O(streams) instead of O(deliveries). Feed it deliveries in arrival
 // order — exactly the order the simulator emits them (e.g. via
-// noc.Simulator.SetDeliverySink); a trace in any other order is first
-// stably sorted by ArriveCycle. The zero value is ready after Reset, and
-// Reset keeps the stream table's storage, so one accumulator serves any
-// number of runs.
+// noc.Simulator.SetDeliverySink). It does not sort: disorder and ISI are
+// read in the order Add sees, so a trace in any other order yields other
+// numbers. The zero value is ready after Reset, and Reset keeps the
+// stream table's storage, so one accumulator serves any number of runs.
 type Accumulator struct {
 	delivered int64
 	totalLat  int64

@@ -30,8 +30,8 @@ func newAffinity(p *Problem, a Assignment) *affinity {
 		if ci == 0 {
 			continue
 		}
-		for _, syn := range p.csr.Out(i) {
-			j := int(syn.Post)
+		for _, post := range p.csr.OutPost(i) {
+			j := int(post)
 			if j == i {
 				continue
 			}
@@ -55,24 +55,22 @@ func (s *affinity) moveDelta(i, dst int) int64 {
 // neighbour; swapDelta(i, ·) reads it until release(i) clears it.
 func (s *affinity) gather(i int) {
 	if ci := s.p.counts[i]; ci != 0 {
-		for _, syn := range s.p.csr.Out(i) {
-			s.exch[syn.Post] += ci
+		for _, post := range s.p.csr.OutPost(i) {
+			s.exch[post] += ci
 		}
 	}
-	in := s.p.inCSR
-	for q := in.start[i]; q < in.start[i+1]; q++ {
-		s.exch[in.pre[q]] += in.w[q]
+	for _, pre := range s.p.in.InPre(i) {
+		s.exch[pre] += s.p.counts[pre]
 	}
 }
 
 // release clears what gather(i) scattered.
 func (s *affinity) release(i int) {
-	for _, syn := range s.p.csr.Out(i) {
-		s.exch[syn.Post] = 0
+	for _, post := range s.p.csr.OutPost(i) {
+		s.exch[post] = 0
 	}
-	in := s.p.inCSR
-	for q := in.start[i]; q < in.start[i+1]; q++ {
-		s.exch[in.pre[q]] = 0
+	for _, pre := range s.p.in.InPre(i) {
+		s.exch[pre] = 0
 	}
 }
 
@@ -99,18 +97,18 @@ func (s *affinity) move(i, dst int) {
 	C := s.p.Crossbars
 	s.cost += s.moveDelta(i, dst)
 	if ci := s.p.counts[i]; ci != 0 {
-		for _, syn := range s.p.csr.Out(i) {
-			if j := int(syn.Post); j != i {
+		for _, post := range s.p.csr.OutPost(i) {
+			if j := int(post); j != i {
 				s.aff[j*C+src] -= ci
 				s.aff[j*C+dst] += ci
 			}
 		}
 	}
-	in := s.p.inCSR
-	for q := in.start[i]; q < in.start[i+1]; q++ {
-		if j := int(in.pre[q]); j != i {
-			s.aff[j*C+src] -= in.w[q]
-			s.aff[j*C+dst] += in.w[q]
+	for _, pre := range s.p.in.InPre(i) {
+		if j := int(pre); j != i {
+			cj := s.p.counts[j]
+			s.aff[j*C+src] -= cj
+			s.aff[j*C+dst] += cj
 		}
 	}
 	s.a[i] = dst

@@ -37,9 +37,9 @@ func frozenGreedy(p *Problem) (Assignment, error) {
 	// plus incoming traffic.
 	weight := make([]int64, n)
 	for i := 0; i < n; i++ {
-		weight[i] += p.counts[i] * int64(len(p.csr.Out(i)))
-		for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-			weight[i] += p.inCSR.w[q]
+		weight[i] += p.counts[i] * int64(len(p.csr.OutPost(i)))
+		for _, pre := range p.in.InPre(i) {
+			weight[i] += p.counts[pre]
 		}
 	}
 	order := make([]int, n)
@@ -56,14 +56,14 @@ func frozenGreedy(p *Problem) (Assignment, error) {
 			}
 			// Affinity: traffic to/from already-placed neighbors on k.
 			var gain int64
-			for _, s := range p.csr.Out(i) {
-				if a[s.Post] == k {
+			for _, post := range p.csr.OutPost(i) {
+				if a[post] == k {
 					gain += p.counts[i]
 				}
 			}
-			for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-				if a[p.inCSR.pre[q]] == k {
-					gain += p.inCSR.w[q]
+			for _, pre := range p.in.InPre(i) {
+				if a[pre] == k {
+					gain += p.counts[pre]
 				}
 			}
 			// Prefer higher affinity; tie-break on lower load for balance.
@@ -117,11 +117,11 @@ func frozenRefine(p *Problem, a Assignment, maxPasses int) int64 {
 					bestDelta, bestJ = d, j
 				}
 			}
-			for _, s := range p.csr.Out(i) {
-				consider(int(s.Post))
+			for _, post := range p.csr.OutPost(i) {
+				consider(int(post))
 			}
-			for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-				consider(int(p.inCSR.pre[q]))
+			for _, pre := range p.in.InPre(i) {
+				consider(int(pre))
 			}
 			if bestJ >= 0 {
 				a[i], a[bestJ] = a[bestJ], a[i]
@@ -439,8 +439,8 @@ func frozenCost(p *Problem, a Assignment) int64 {
 		if ci == 0 {
 			continue
 		}
-		for _, s := range p.csr.Out(i) {
-			if a[s.Post] != ai {
+		for _, post := range p.csr.OutPost(i) {
+			if a[post] != ai {
 				total += ci
 			}
 		}

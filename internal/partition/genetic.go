@@ -1,9 +1,10 @@
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Genetic is a genetic-algorithm partitioner, the second counterpart for
@@ -76,7 +77,7 @@ func (g Genetic) Partition(p *Problem) (Assignment, error) {
 		people[i] = individual{a: a, cost: p.Cost(a)}
 	}
 	byCost := func() {
-		sort.SliceStable(people, func(x, y int) bool { return people[x].cost < people[y].cost })
+		slices.SortStableFunc(people, func(x, y individual) int { return cmp.Compare(x.cost, y.cost) })
 	}
 	byCost()
 
@@ -91,15 +92,24 @@ func (g Genetic) Partition(p *Problem) (Assignment, error) {
 		return people[best].a
 	}
 
+	// Generations are double-buffered: next owns its own assignments,
+	// which the previous generation's slot left behind, so breeding
+	// overwrites buffers instead of allocating them.
 	next := make([]individual, pop)
+	for i := range next {
+		next[i].a = make(Assignment, n)
+	}
+	loads := make([]int, p.Crossbars)
 	for gen := 0; gen < gens; gen++ {
 		for e := 0; e < elite; e++ {
-			next[e] = individual{a: people[e].a.Clone(), cost: people[e].cost}
+			copy(next[e].a, people[e].a)
+			next[e].cost = people[e].cost
 		}
 		for i := elite; i < pop; i++ {
-			child := g.crossover(p, pick(), pick(), rng)
-			g.mutate(p, child, mut, rng)
-			next[i] = individual{a: child, cost: p.Cost(child)}
+			child := next[i].a
+			g.crossover(p, pick(), pick(), child, loads, rng)
+			g.mutate(p, child, loads, mut, rng)
+			next[i].cost = p.Cost(child)
 		}
 		people, next = next, people
 		byCost()
@@ -112,14 +122,13 @@ func (g Genetic) Partition(p *Problem) (Assignment, error) {
 	return best.a, nil
 }
 
-// crossover performs uniform crossover with on-the-fly capacity repair:
-// each gene takes a parent's crossbar if it still has room, otherwise the
-// other parent's, otherwise the least-loaded open crossbar.
-func (g Genetic) crossover(p *Problem, a, b Assignment, rng *rand.Rand) Assignment {
-	n := p.Graph.Neurons
-	child := make(Assignment, n)
-	loads := make([]int, p.Crossbars)
-	for i := 0; i < n; i++ {
+// crossover performs uniform crossover with on-the-fly capacity repair
+// into child: each gene takes a parent's crossbar if it still has room,
+// otherwise the other parent's, otherwise the least-loaded open crossbar.
+// It leaves the child's per-crossbar loads in loads.
+func (g Genetic) crossover(p *Problem, a, b, child Assignment, loads []int, rng *rand.Rand) {
+	clear(loads)
+	for i := range child {
 		first, second := a[i], b[i]
 		if rng.Intn(2) == 0 {
 			first, second = second, first
@@ -140,12 +149,11 @@ func (g Genetic) crossover(p *Problem, a, b Assignment, rng *rand.Rand) Assignme
 		}
 		loads[child[i]]++
 	}
-	return child
 }
 
-// mutate relocates random neurons to random crossbars with spare capacity.
-func (g Genetic) mutate(p *Problem, a Assignment, rate float64, rng *rand.Rand) {
-	loads := p.Loads(a)
+// mutate relocates random neurons to random crossbars with spare
+// capacity; loads holds a's per-crossbar loads and is kept current.
+func (g Genetic) mutate(p *Problem, a Assignment, loads []int, rate float64, rng *rand.Rand) {
 	for i := range a {
 		if rng.Float64() >= rate {
 			continue

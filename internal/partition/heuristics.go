@@ -28,9 +28,9 @@ func (Greedy) Partition(p *Problem) (Assignment, error) {
 	// plus incoming traffic.
 	weight := make([]int64, n)
 	for i := 0; i < n; i++ {
-		weight[i] += p.counts[i] * int64(len(p.csr.Out(i)))
-		for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-			weight[i] += p.inCSR.w[q]
+		weight[i] += p.counts[i] * int64(len(p.csr.OutPost(i)))
+		for _, pre := range p.in.InPre(i) {
+			weight[i] += p.counts[pre]
 		}
 	}
 	order := make([]int, n)
@@ -46,14 +46,14 @@ func (Greedy) Partition(p *Problem) (Assignment, error) {
 	gain := make([]int64, p.Crossbars)
 	for _, i := range order {
 		ci := p.counts[i]
-		for _, s := range p.csr.Out(i) {
-			if k := a[s.Post]; k >= 0 {
+		for _, post := range p.csr.OutPost(i) {
+			if k := a[post]; k >= 0 {
 				gain[k] += ci
 			}
 		}
-		for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-			if k := a[p.inCSR.pre[q]]; k >= 0 {
-				gain[k] += p.inCSR.w[q]
+		for _, pre := range p.in.InPre(i) {
+			if k := a[pre]; k >= 0 {
+				gain[k] += p.counts[pre]
 			}
 		}
 		bestK, bestGain := -1, int64(0)
@@ -147,11 +147,11 @@ func Refine(p *Problem, a Assignment, maxPasses int) int64 {
 					bestDelta, bestJ = d, j
 				}
 			}
-			for _, syn := range p.csr.Out(i) {
-				consider(int(syn.Post))
+			for _, post := range p.csr.OutPost(i) {
+				consider(int(post))
 			}
-			for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-				consider(int(p.inCSR.pre[q]))
+			for _, pre := range p.in.InPre(i) {
+				consider(int(pre))
 			}
 			s.release(i)
 			if bestJ >= 0 {

@@ -117,14 +117,14 @@ func NewHyperState(p *Problem, a Assignment) (*HyperState, error) {
 	mark := make([]int32, n) // multiplicity scratch, keyed by post
 	var touched []int32
 	for i := 0; i < n; i++ {
-		for _, syn := range csr.Out(i) {
-			if int(syn.Post) == i {
+		for _, post := range csr.OutPost(i) {
+			if int(post) == i {
 				continue
 			}
-			if mark[syn.Post] == 0 {
-				touched = append(touched, syn.Post)
+			if mark[post] == 0 {
+				touched = append(touched, post)
 			}
-			mark[syn.Post]++
+			mark[post]++
 		}
 		for _, j := range touched {
 			s.inStart[j+1]++
@@ -140,15 +140,15 @@ func NewHyperState(p *Problem, a Assignment) (*HyperState, error) {
 	cursor := make([]int32, n)
 	copy(cursor, s.inStart[:n])
 	for i := 0; i < n; i++ {
-		for _, syn := range csr.Out(i) {
-			if int(syn.Post) == i {
+		for _, post := range csr.OutPost(i) {
+			if int(post) == i {
 				s.ownPins[i]++
 				continue
 			}
-			if mark[syn.Post] == 0 {
-				touched = append(touched, syn.Post)
+			if mark[post] == 0 {
+				touched = append(touched, post)
 			}
-			mark[syn.Post]++
+			mark[post]++
 		}
 		for _, j := range touched {
 			q := cursor[j]

@@ -41,9 +41,9 @@ type Problem struct {
 	// CrossbarSize is Nc, the maximum neurons per crossbar (Eq. 5).
 	CrossbarSize int
 
-	counts []int64    // spikes per neuron
-	csr    *graph.CSR // out-adjacency
-	inCSR  inAdj      // in-adjacency with traffic weights, for deltas
+	counts []int64      // spikes per neuron
+	csr    *graph.CSR   // out-adjacency
+	in     *graph.InCSR // in-adjacency, for deltas
 	// active lists the neurons that spike and have an outgoing synapse,
 	// the only ones whose synapses can put traffic on the interconnect,
 	// except those in shared.
@@ -60,15 +60,9 @@ type fanRun struct {
 	members []int32
 }
 
-// inAdj is a CSR of incoming synapses: for neuron j, the pre neurons and
-// their spike counts.
-type inAdj struct {
-	start []int32
-	pre   []int32
-	w     []int64 // spike count of pre
-}
-
-// NewProblem validates the instance and precomputes adjacency structures.
+// NewProblem validates the instance and precomputes the fitness structures.
+// The adjacencies are the graph's memoized ones, shared by every Problem
+// over the graph.
 func NewProblem(g *graph.SpikeGraph, crossbars, crossbarSize int) (*Problem, error) {
 	if g == nil {
 		return nil, errors.New("partition: nil graph")
@@ -91,6 +85,7 @@ func NewProblem(g *graph.SpikeGraph, crossbars, crossbarSize int) (*Problem, err
 		CrossbarSize: crossbarSize,
 		counts:       g.SpikeCounts(),
 		csr:          g.CSR(),
+		in:           g.InCSR(),
 	}
 	n := g.Neurons
 	var run fanRun
@@ -113,25 +108,6 @@ func NewProblem(g *graph.SpikeGraph, crossbars, crossbarSize int) (*Problem, err
 		run.members = append(run.members, int32(i))
 	}
 	flush()
-	// Build the in-adjacency.
-	start := make([]int32, n+1)
-	for _, s := range g.Synapses {
-		start[s.Post+1]++
-	}
-	for i := 1; i <= n; i++ {
-		start[i] += start[i-1]
-	}
-	pre := make([]int32, len(g.Synapses))
-	w := make([]int64, len(g.Synapses))
-	cursor := make([]int32, n)
-	copy(cursor, start[:n])
-	for _, s := range g.Synapses {
-		k := cursor[s.Post]
-		cursor[s.Post]++
-		pre[k] = s.Pre
-		w[k] = p.counts[s.Pre]
-	}
-	p.inCSR = inAdj{start: start, pre: pre, w: w}
 	return p, nil
 }
 
@@ -258,8 +234,8 @@ func (p *Problem) CostDelta(a Assignment, neuron, dst int) int64 {
 		}
 	}
 	// Incoming synapses.
-	for q := p.inCSR.start[neuron]; q < p.inCSR.start[neuron+1]; q++ {
-		pre := int(p.inCSR.pre[q])
+	for _, pre := range p.in.InPre(neuron) {
+		pre := int(pre)
 		if pre == neuron {
 			continue
 		}
@@ -267,9 +243,9 @@ func (p *Problem) CostDelta(a Assignment, neuron, dst int) int64 {
 		now := a[pre] != dst
 		if was != now {
 			if now {
-				delta += p.inCSR.w[q]
+				delta += p.counts[pre]
 			} else {
-				delta -= p.inCSR.w[q]
+				delta -= p.counts[pre]
 			}
 		}
 	}

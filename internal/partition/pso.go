@@ -131,22 +131,23 @@ type particle struct {
 // problem and the configuration, so tests pin it where wall clocks drift.
 type psoWork struct {
 	fitness   int64 // Problem.Cost evaluations
-	sigmoids  int64 // sigmoid exponentials computed in repair
-	clampHits int64 // sigmoids of a velocity on the ±VMax clamp, precomputed
+	exactRows int64 // repair rows sampled on exact sigmoids
+	sigmoids  int64 // sigmoid exponentials computed in those rows
+	clampHits int64 // their sigmoids of a velocity on the ±VMax clamp, precomputed
 }
 
 func (w *psoWork) add(o psoWork) {
 	w.fitness += o.fitness
+	w.exactRows += o.exactRows
 	w.sigmoids += o.sigmoids
 	w.clampHits += o.clampHits
 }
 
 // swarmRun is the state every particle of one Partition call shares.
 type swarmRun struct {
-	p            *Problem
-	cfg          PSOConfig
-	vmax         float32
-	sigHi, sigLo float64 // sigmoid(±vmax)
+	p    *Problem
+	cfg  PSOConfig
+	roul roulette // the row sampler; roul.vmax is the velocity clamp
 }
 
 // Partition implements Partitioner.
@@ -173,9 +174,7 @@ func (o *PSO) solve(p *Problem) (Assignment, psoWork, error) {
 		return make(Assignment, n), work, nil
 	}
 
-	vmax := float32(cfg.VMax)
-	run := &swarmRun{p: p, cfg: cfg, vmax: vmax,
-		sigHi: sigmoid(float64(vmax)), sigLo: sigmoid(-float64(vmax))}
+	run := &swarmRun{p: p, cfg: cfg, roul: newRoulette(float32(cfg.VMax), c)}
 	master := rand.New(rand.NewSource(cfg.Seed))
 	var seeds []Assignment
 	if !cfg.DisableSeeding {
@@ -321,7 +320,7 @@ func (o *PSO) solve(p *Problem) (Assignment, psoWork, error) {
 func (r *swarmRun) step(pt *particle) {
 	c := r.p.Crossbars
 	inertia, phi1, phi2 := r.cfg.Inertia, r.cfg.Phi1, r.cfg.Phi2
-	vmax := float64(r.vmax)
+	vmax := float64(r.roul.vmax)
 	for i, xi := range pt.pos {
 		row := pt.vel[i*c : (i+1)*c : (i+1)*c]
 		pb, gb := pt.best[i], pt.guide[i]
@@ -381,65 +380,202 @@ func bit(b bool) float64 {
 // (≤ Nc neurons per crossbar).
 func (r *swarmRun) repair(pt *particle) {
 	c, size := r.p.Crossbars, r.p.CrossbarSize
-	vmax := r.vmax
 	loads, probs := pt.loads[:c], pt.probs[:c]
 	clear(loads)
-	var sigmoids, clampHits int64
 	for i := range pt.pos {
 		row := pt.vel[i*c : (i+1)*c : (i+1)*c]
-		var sum float64
-		for k, v := range row {
-			if loads[k] >= size {
-				probs[k] = 0
-				continue
-			}
-			var pr float64
-			switch v {
-			case vmax:
-				pr = r.sigHi
-				clampHits++
-			case -vmax:
-				pr = r.sigLo
-				clampHits++
-			default:
-				pr = sigmoid(float64(v))
-				sigmoids++
-			}
-			probs[k] = pr
-			sum += pr
-		}
-		var chosen int
-		if sum <= 0 {
-			// All open crossbars have vanishing probability; fall back
-			// to the least loaded open crossbar.
-			chosen = -1
-			for k := 0; k < c; k++ {
-				if loads[k] >= size {
-					continue
-				}
-				if chosen < 0 || loads[k] < loads[chosen] {
-					chosen = k
-				}
-			}
-		} else {
-			u := pt.rng.Float64() * sum
-			chosen = -1
-			for k, pr := range probs {
-				if pr <= 0 {
-					continue
-				}
-				u -= pr
-				chosen = k
-				if u <= 0 {
-					break
-				}
-			}
-		}
+		chosen := r.roul.sample(row, loads, size, probs, pt.rng, &pt.work)
 		pt.pos[i] = chosen
 		loads[chosen]++
 	}
-	pt.work.sigmoids += sigmoids
-	pt.work.clampHits += clampHits
+}
+
+// roulette samples one neuron's crossbar from its velocity row: one
+// uniform draw u per row, and the first open crossbar k at which
+// u·Σσ − σ(v_0) − … − σ(v_k) ≤ 0, the exact sigmoids summed and
+// subtracted in row order.
+//
+// Most rows need no exponential. The row is first walked on a
+// piecewise-linear sigmoid a_k, within ε of the exact σ_k. If every
+// running remainder û of that walk, up to its break, lies farther than
+// margin from zero, the exact remainders, each within 2·C·ε plus the
+// rounding of two C-term walks of û, have the same signs, so the exact
+// walk breaks at the same crossbar. Otherwise the row is redone on exact
+// sigmoids with the same draw. Either way the choice and the random
+// stream are those of the exact roulette.
+type roulette struct {
+	vmax         float32
+	sigHi, sigLo float64 // sigmoid(±vmax), exact
+	// seg holds the linear pieces over [−vmax, vmax], nil when the table
+	// is off: a velocity x on interval j = ⌊(x+vmax)·scale⌋ has
+	// a = seg[j].c0 + x·seg[j].c1.
+	seg    []sigLine
+	scale  float64
+	margin float64
+}
+
+type sigLine struct{ c0, c1 float64 }
+
+const (
+	// sigIntervals is the number of linear pieces of the table.
+	sigIntervals = 1024
+	// sigCurvature bounds |σ''| from above (its maximum is 1/(6√3)).
+	sigCurvature = 0.09623
+	// sigUlps bounds the rounding in a table value, the exact sigmoid
+	// and the nodes they interpolate, generously.
+	sigUlps = 64 * 0x1p-52
+)
+
+// newRoulette builds the sampler for velocities clamped to ±vmax over c
+// crossbars. The table needs a finite, positive vmax whose sigmoids are
+// nonzero, so every open crossbar has a positive exact probability.
+func newRoulette(vmax float32, c int) roulette {
+	vm := float64(vmax)
+	ro := roulette{vmax: vmax, sigHi: sigmoid(vm), sigLo: sigmoid(-vm)}
+	if !(vm > 0) || math.IsInf(vm, 1) || !(ro.sigLo > 0) {
+		return ro
+	}
+	h := 2 * vm / sigIntervals
+	ro.seg = make([]sigLine, sigIntervals)
+	x0, t0 := -vm, ro.sigLo
+	for j := range ro.seg {
+		x1 := -vm + float64(j+1)*h
+		t1 := sigmoid(x1)
+		c1 := (t1 - t0) / (x1 - x0)
+		ro.seg[j] = sigLine{c0: t0 - x0*c1, c1: c1}
+		x0, t0 = x1, t1
+	}
+	ro.scale = sigIntervals / (2 * vm)
+	// Interpolation error h²/8·max|σ''| plus rounding; one ε per term of
+	// the sum and of the prefix, and 2·C²·2⁻⁵² of rounding per walk.
+	eps := h*h/8*sigCurvature + sigUlps
+	n := float64(c)
+	ro.margin = 2*n*eps + 4*n*n*0x1p-52
+	return ro
+}
+
+// sample picks the crossbar of one row. Rows are sampled in order, with
+// loads[k] the neurons already on crossbar k; probs is scratch.
+func (ro *roulette) sample(row []float32, loads []int, size int, probs []float64, rng *rand.Rand, w *psoWork) int {
+	if ro.seg != nil {
+		if sum, ok := ro.approx(row, loads, size, probs); ok {
+			u := rng.Float64()
+			if k := ro.squeeze(probs, loads, size, u*sum); k >= 0 {
+				return k
+			}
+			return walk(probs, u*ro.exact(row, loads, size, probs, w))
+		}
+	}
+	sum := ro.exact(row, loads, size, probs, w)
+	if sum <= 0 {
+		// All open crossbars have vanishing probability; fall back to
+		// the least loaded open crossbar.
+		chosen := -1
+		for k, l := range loads {
+			if l < size && (chosen < 0 || l < loads[chosen]) {
+				chosen = k
+			}
+		}
+		return chosen
+	}
+	// A NaN sum draws and walks too, as the exact roulette always did.
+	return walk(probs, rng.Float64()*sum)
+}
+
+// approx fills probs at the open crossbars with the table's sigmoids and
+// returns their sum. It reports false, leaving the row to the exact
+// roulette, when a velocity lies outside [−vmax, vmax] (NaN included).
+func (ro *roulette) approx(row []float32, loads []int, size int, probs []float64) (float64, bool) {
+	vm, last := float64(ro.vmax), len(ro.seg)-1
+	var sum float64
+	for k, v := range row {
+		if loads[k] >= size {
+			continue
+		}
+		var a float64
+		switch x := float64(v); {
+		case v == ro.vmax:
+			a = ro.sigHi
+		case v == -ro.vmax:
+			a = ro.sigLo
+		case x > -vm && x < vm:
+			l := ro.seg[min(int((x+vm)*ro.scale), last)]
+			a = l.c0 + x*l.c1
+		default:
+			return 0, false
+		}
+		probs[k] = a
+		sum += a
+	}
+	return sum, true
+}
+
+// squeeze walks the table's sigmoids from u. It returns the crossbar the
+// walk breaks at (or its last open crossbar), or −1 when a remainder
+// lands within the margin, where the exact walk may branch otherwise.
+func (ro *roulette) squeeze(probs []float64, loads []int, size int, u float64) int {
+	chosen := -1
+	for k, a := range probs {
+		if loads[k] >= size {
+			continue
+		}
+		u -= a
+		chosen = k
+		if u <= ro.margin {
+			if u > -ro.margin {
+				return -1
+			}
+			break
+		}
+	}
+	return chosen
+}
+
+// exact fills probs with the exact sigmoids of the open crossbars (zero
+// at the full ones) and returns their sum.
+func (ro *roulette) exact(row []float32, loads []int, size int, probs []float64, w *psoWork) float64 {
+	var sum float64
+	var sigmoids, clampHits int64
+	for k, v := range row {
+		if loads[k] >= size {
+			probs[k] = 0
+			continue
+		}
+		var pr float64
+		switch v {
+		case ro.vmax:
+			pr = ro.sigHi
+			clampHits++
+		case -ro.vmax:
+			pr = ro.sigLo
+			clampHits++
+		default:
+			pr = sigmoid(float64(v))
+			sigmoids++
+		}
+		probs[k] = pr
+		sum += pr
+	}
+	w.exactRows++
+	w.sigmoids += sigmoids
+	w.clampHits += clampHits
+	return sum
+}
+
+// walk is the exact roulette walk over probs from u.
+func walk(probs []float64, u float64) int {
+	chosen := -1
+	for k, pr := range probs {
+		if pr <= 0 {
+			continue
+		}
+		u -= pr
+		chosen = k
+		if u <= 0 {
+			break
+		}
+	}
+	return chosen
 }
 
 func sigmoid(v float64) float64 {

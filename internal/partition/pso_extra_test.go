@@ -145,27 +145,35 @@ func TestSwapDeltaMatchesFullRecompute(t *testing.T) {
 }
 
 // TestPSOWorkCount pins the work one PSO run computes: a fitness
-// evaluation per particle at start and per particle-iteration, and one
-// sigmoid per open (neuron, crossbar) pair of every repair, an
-// exponential unless the velocity sits on the ±VMax clamp. The counts
-// depend only on the problem and the configuration, never on the worker
-// count.
+// evaluation per particle at start and per particle-iteration, and the
+// repair rows the table's squeeze could not decide, which alone compute
+// exact sigmoids (an exponential unless the velocity sits on the ±VMax
+// clamp). The counts depend only on the problem and the configuration,
+// never on the worker count.
 func TestPSOWorkCount(t *testing.T) {
-	g := chainGraph(3, 16, 5)
-	p, err := NewProblem(g, 4, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The frozen PSO computes all 44,184 exponentials; the 2,390 on the
-	// clamp are now two precomputed values.
-	want := psoWork{fitness: 12 * 21, sigmoids: 41794, clampHits: 2390}
-	for _, workers := range []int{1, 3} {
-		_, got, err := NewPSO(PSOConfig{SwarmSize: 12, Iterations: 20, Seed: 5, Workers: workers}).solve(p)
+	for _, tc := range []struct {
+		layers, width, rate, c, size int
+		want                         psoWork
+	}{
+		// The frozen PSO computes 44,184 exponentials here; the squeeze
+		// decides every one of its 11,952 rows.
+		{3, 16, 5, 4, 13, psoWork{fitness: 12 * 21}},
+		// Fifteen crossbars put more prefix sums near each draw: 7 of
+		// the 29,880 rows are redone exactly.
+		{4, 30, 5, 15, 9, psoWork{fitness: 12 * 21, exactRows: 7, sigmoids: 92, clampHits: 4}},
+	} {
+		p, err := NewProblem(chainGraph(tc.layers, tc.width, tc.rate), tc.c, tc.size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("workers=%d: work %+v, want %+v", workers, got, want)
+		for _, workers := range []int{1, 3} {
+			_, got, err := NewPSO(PSOConfig{SwarmSize: 12, Iterations: 20, Seed: 5, Workers: workers}).solve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("C=%d workers=%d: work %+v, want %+v", tc.c, workers, got, tc.want)
+			}
 		}
 	}
 }

@@ -82,11 +82,11 @@ func RemapAssignment(p *Problem, prev Assignment, touched []int, maxPasses int) 
 					cands = append(cands, k)
 				}
 			}
-			for _, s := range p.csr.Out(i) {
-				addCand(int(s.Post))
+			for _, post := range p.csr.OutPost(i) {
+				addCand(int(post))
 			}
-			for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-				addCand(int(p.inCSR.pre[q]))
+			for _, pre := range p.in.InPre(i) {
+				addCand(int(pre))
 			}
 			sort.Ints(cands)
 			bestDelta, bestK := int64(0), -1
@@ -104,11 +104,11 @@ func RemapAssignment(p *Problem, prev Assignment, touched []int, maxPasses int) 
 				a[i] = bestK
 				loads[bestK]++
 				enqueue(i)
-				for _, s := range p.csr.Out(i) {
-					enqueue(int(s.Post))
+				for _, post := range p.csr.OutPost(i) {
+					enqueue(int(post))
 				}
-				for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-					enqueue(int(p.inCSR.pre[q]))
+				for _, pre := range p.in.InPre(i) {
+					enqueue(int(pre))
 				}
 				continue
 			}
@@ -124,21 +124,21 @@ func RemapAssignment(p *Problem, prev Assignment, touched []int, maxPasses int) 
 					bestDelta, bestJ = d, j
 				}
 			}
-			for _, s := range p.csr.Out(i) {
-				consider(int(s.Post))
+			for _, post := range p.csr.OutPost(i) {
+				consider(int(post))
 			}
-			for q := p.inCSR.start[i]; q < p.inCSR.start[i+1]; q++ {
-				consider(int(p.inCSR.pre[q]))
+			for _, pre := range p.in.InPre(i) {
+				consider(int(pre))
 			}
 			if bestJ >= 0 {
 				a[i], a[bestJ] = a[bestJ], a[i]
 				for _, moved := range [2]int{i, bestJ} {
 					enqueue(moved)
-					for _, s := range p.csr.Out(moved) {
-						enqueue(int(s.Post))
+					for _, post := range p.csr.OutPost(moved) {
+						enqueue(int(post))
 					}
-					for q := p.inCSR.start[moved]; q < p.inCSR.start[moved+1]; q++ {
-						enqueue(int(p.inCSR.pre[q]))
+					for _, pre := range p.in.InPre(moved) {
+						enqueue(int(pre))
 					}
 				}
 			}

@@ -9,6 +9,7 @@ package snn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/neuron"
@@ -191,10 +192,14 @@ func (n *Network) ConnectRandom(src, dst *Group, prob, wMin, wMax float64, delay
 	if err := n.checkGroups(src, dst); err != nil {
 		return nil, err
 	}
-	if prob < 0 || prob > 1 {
+	if !(prob >= 0 && prob <= 1) { // NaN too: it would size the edge list from NaN
 		return nil, fmt.Errorf("snn: connection probability %v outside [0,1]", prob)
 	}
-	var edges []Edge
+	pairs := src.N * dst.N
+	if src == dst {
+		pairs -= src.N
+	}
+	edges := make([]Edge, 0, expectedEdges(pairs, prob))
 	for i := 0; i < src.N; i++ {
 		for j := 0; j < dst.N; j++ {
 			if src == dst && i == j {
@@ -207,6 +212,19 @@ func (n *Network) ConnectRandom(src, dst *Group, prob, wMin, wMax float64, delay
 		}
 	}
 	return n.addConn(src, dst, edges, delayMs)
+}
+
+// expectedEdges sizes a random connection's edge list: the binomial mean
+// plus six standard deviations and a little headroom, capped at the pair
+// count, so the list is allocated once at its final size. A count past
+// the bound (about one in a billion) still appends.
+func expectedEdges(pairs int, prob float64) int {
+	if pairs <= 0 {
+		return 0
+	}
+	mean := float64(pairs) * prob
+	bound := mean + 6*math.Sqrt(mean*(1-prob)) + 16
+	return int(min(bound, float64(pairs)))
 }
 
 // ConnectOneToOne connects neuron i of src to neuron i of dst. The groups

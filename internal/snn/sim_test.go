@@ -1,6 +1,7 @@
 package snn
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -41,6 +42,9 @@ func TestConnectValidation(t *testing.T) {
 	}
 	if _, err := net.ConnectRandom(in, ex, 1.5, 0, 1, 1); err == nil {
 		t.Fatal("probability > 1 must fail")
+	}
+	if _, err := net.ConnectRandom(in, ex, math.NaN(), 0, 1, 1); err == nil {
+		t.Fatal("NaN probability must fail")
 	}
 	if _, err := net.ConnectOneToOne(in, net.CreateGroup("big", 5, Excitatory), 1, 1); err == nil {
 		t.Fatal("one-to-one with mismatched sizes must fail")

@@ -131,13 +131,15 @@ func WithObserver(obs Observer) Option {
 }
 
 // Pipeline is a warm mapping session for one (application, architecture)
-// pair: the expensive per-pair state — the spike graph's CSR adjacency,
-// the partitioning problem instance (in-adjacency, spike counts), the
-// interconnect topology and route table, and the local-activity
-// characterization — is built once by NewPipeline and then serves any
-// number of Run/RunSeeds/Compare calls, concurrently if desired. It is
-// the unit of reuse a sweep (or a future mapping server) holds per grid
-// cell instead of paying construction on every run.
+// pair: the expensive per-pair state — the partitioning problem instance
+// (spike counts and the fitness's neuron lists), the interconnect
+// topology and route table, and the local-activity characterization — is
+// built once by NewPipeline and then serves any number of
+// Run/RunSeeds/Compare calls, concurrently if desired. It is the unit of
+// reuse a sweep (or a future mapping server) holds per grid cell instead
+// of paying construction on every run. The spike graph's out- and
+// in-adjacency are per graph, not per session: the graph memoizes them
+// on first use, so every session and problem over one graph shares them.
 //
 // Every run draws a replay context from an internal pool — a simulator
 // forked from the session prototype (sharing its immutable topology and
@@ -196,7 +198,6 @@ func NewPipeline(app *App, arch Arch, opts ...Option) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	app.Graph.CSR() // force the memoized adjacency build into the session setup
 	pl.counts = app.Graph.SpikeCounts()
 	pl.singleton = newSingletonTable(arch.Crossbars)
 	pl.replays.New = func() any { return pl.newReplay(pl.proto.Fork()) }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/hardware"
 )
 
@@ -312,6 +313,53 @@ func TestPipelineRunAllocBudgetWarm(t *testing.T) {
 	}
 }
 
+// buildSessionDR is the session build of the paper's largest quick
+// workload: digit recognition characterized for the quick 250 ms, then a
+// warm session on the 4-crossbar quad architecture.
+func buildSessionDR(tb testing.TB) *Pipeline {
+	tb.Helper()
+	app, err := apps.DigitRecognition(AppConfig{Seed: 1, DurationMs: 250})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pl, err := NewPipeline(app, QuadArch(app.Graph))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pl
+}
+
+// TestSessionBuildAllocBudget is the allocation contract of a session
+// build (buildSessionDR): the network, its characterization, the spike
+// graph, its adjacencies and the problem instance. Both budgets are the
+// measured value plus slack.
+func TestSessionBuildAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets are measured in the full suite")
+	}
+	build := func() { buildSessionDR(t) }
+	const runs = 3
+	allocs := testing.AllocsPerRun(runs, build)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("digit-recognition session build: %.0f allocs, %.0f bytes", allocs, bytesPerRun)
+	// Measured on linux/amd64, go1.24: 3,075 allocs and 22,408,669 bytes
+	// (the build before each synapse layout was sized once: 3,114 and
+	// 54,178,584). The slack is about 4% of each.
+	const maxAllocs, maxBytes = 3200, 23_300_000
+	if allocs > maxAllocs {
+		t.Errorf("session build allocates %.0f objects, budget %d", allocs, maxAllocs)
+	}
+	if bytesPerRun > maxBytes {
+		t.Errorf("session build allocates %.0f bytes, budget %d", bytesPerRun, maxBytes)
+	}
+}
+
 // TestPartitionerAllocBudget is the per-stage allocation contract of the
 // partitioners: one Partition call of greedy, kl, hypercut, pso, sa and
 // ga on a 512-neuron modular app sized for the tree interconnect. Each
@@ -336,10 +384,11 @@ func TestPartitionerAllocBudget(t *testing.T) {
 	// Measured on linux/amd64, go1.24 (allocs, bytes per call): greedy
 	// 5 and 12,352; kl 9 and 32,960 (the n×C affinity table is 16 KiB of
 	// it); hypercut 20 and 68,218. The stochastic ones run the quick
-	// experiments' 30×30 budget on one worker: pso 259 and 693,114 (per
-	// particle its velocity matrix, positions, buffers and RNG); sa 8 and
-	// 17,792; ga 2,797 and 3,998,520 (a child and its load vectors per
-	// offspring).
+	// experiments' 30×30 budget on one worker: pso 260 and 710,029 (per
+	// particle its velocity matrix, positions, buffers and RNG, plus the
+	// 16 KiB sigmoid table); sa 8 and 17,792; ga 155 and 378,048 (the
+	// random initial population, a second set of assignment buffers the
+	// generations alternate with, and one load vector).
 	quick := PartitionerSpec{SwarmSize: 30, Iterations: 30, Workers: 1}
 	for _, tc := range []struct {
 		name                string
@@ -351,7 +400,7 @@ func TestPartitionerAllocBudget(t *testing.T) {
 		{"hypercut", PartitionerSpec{}, 24, 80 << 10},
 		{"pso", quick, 300, 800 << 10},
 		{"sa", PartitionerSpec{}, 12, 24 << 10},
-		{"ga", quick, 3100, 4400 << 10},
+		{"ga", quick, 180, 420 << 10},
 	} {
 		pt, err := NewPartitioner(tc.name, tc.spec)
 		if err != nil {

@@ -237,8 +237,8 @@ func checkPerStreamConservation(t *testing.T, app *App, assign Assignment, cross
 		for k := range seen {
 			seen[k] = false
 		}
-		for _, s := range csr.Out(i) {
-			if k := assign[s.Post]; k != assign[i] && !seen[k] {
+		for _, post := range csr.OutPost(i) {
+			if k := assign[post]; k != assign[i] && !seen[k] {
 				seen[k] = true
 				want[stream{int32(i), k}] = spikes
 			}

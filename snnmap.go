@@ -272,8 +272,8 @@ func (sc *trafficScratch) injectAndRun(sim *noc.Simulator, g *SpikeGraph, assign
 		}
 		src := assign[i]
 		touched = touched[:0]
-		for _, s := range csr.Out(i) {
-			if k := assign[s.Post]; k != src {
+		for _, post := range csr.OutPost(i) {
+			if k := assign[post]; k != src {
 				if multiplicity[k] == 0 {
 					touched = append(touched, k)
 				}
