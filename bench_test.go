@@ -65,7 +65,6 @@ func BenchmarkPipelineWarmVsCold(b *testing.B) {
 	arch := PacmanCapableArch(app.Graph)
 	arch.AER = PerCrossbar
 	techniques := []Partitioner{Neutrams, Pacman, GreedyPartitioner}
-	app.Graph.CSR() // memoized on the graph: shared by both variants
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

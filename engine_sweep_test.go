@@ -17,7 +17,7 @@ import (
 //	perCrossbar = Σ_i |T_i| · (# distinct remote crossbars of i)
 //	multicast   = Σ_i |T_i| · [i has any remote target]
 func aerExpectations(g *SpikeGraph, assign Assignment, crossbars int) (perSynapse, perCrossbar, multicast int64) {
-	csr := g.CSR()
+	csr := &g.CSR
 	seen := make([]bool, crossbars)
 	for i := 0; i < g.Neurons; i++ {
 		spikes := int64(len(g.Spikes[i]))

@@ -31,7 +31,7 @@ func main() {
 	}
 	fmt.Printf("%s\n", app.Description)
 	fmt.Printf("%d neurons, %d synapses, %d spikes recorded over %d ms\n\n",
-		app.Graph.Neurons, len(app.Graph.Synapses), app.Graph.TotalSpikes(), app.Graph.DurationMs)
+		app.Graph.Neurons, len(app.Graph.CSR.Post), app.Graph.TotalSpikes(), app.Graph.DurationMs)
 
 	arch := snnmap.PacmanCapableArch(app.Graph)
 	fmt.Printf("architecture: %d crossbars × %d neurons (NoC-tree)\n\n", arch.Crossbars, arch.CrossbarSize)

@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("application: %s — %d neurons, %d synapses, %d spikes\n",
-		app.Name, app.Graph.Neurons, len(app.Graph.Synapses), app.Graph.TotalSpikes())
+		app.Name, app.Graph.Neurons, len(app.Graph.CSR.Post), app.Graph.TotalSpikes())
 
 	// 2. Describe the hardware: a tree-interconnect architecture with
 	// 32-neuron crossbars sized for this network.

@@ -250,7 +250,7 @@ func fig5Rows(ctx context.Context, pf PipelineFactory, opts ExpOptions) ([][]any
 	rows := make([][]any, 0, len(workloads))
 	for w, wl := range workloads {
 		e := energies[w*nt : (w+1)*nt] // NEUTRAMS, PACMAN, PSO
-		row := []any{wl.name, built[w].Graph.Neurons, len(built[w].Graph.Synapses), e[0], e[1], e[2]}
+		row := []any{wl.name, built[w].Graph.Neurons, len(built[w].Graph.CSR.Post), e[0], e[1], e[2]}
 		for _, v := range e {
 			norm := 0.0
 			if e[0] > 0 {

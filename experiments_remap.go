@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/engine"
@@ -19,14 +20,15 @@ import (
 func DriftDelta(g *graph.SpikeGraph, frac float64, seed int64) WorkloadDelta {
 	rng := rand.New(rand.NewSource(seed))
 	var d WorkloadDelta
-	rewire := int(frac * float64(len(g.Synapses)))
+	csr := &g.CSR
+	rewire := int(frac * float64(len(csr.Post)))
 	if rewire > 0 {
-		for _, idx := range rng.Perm(len(g.Synapses))[:rewire] {
-			s := g.Synapses[idx]
-			d.RemoveSynapses = append(d.RemoveSynapses, graph.Synapse{Pre: s.Pre, Post: s.Post})
-			d.AddSynapses = append(d.AddSynapses, graph.Synapse{
-				Pre: s.Pre, Post: int32(rng.Intn(g.Neurons)), Weight: s.Weight, DelayMs: s.DelayMs,
-			})
+		for _, idx := range rng.Perm(len(csr.Post))[:rewire] {
+			// The synapse's pre is the first neuron whose out-list ends
+			// past idx.
+			pre := int32(sort.Search(g.Neurons, func(i int) bool { return int(csr.Start[i+1]) > idx }))
+			d.RemoveSynapses = append(d.RemoveSynapses, graph.Synapse{Pre: pre, Post: csr.Post[idx]})
+			d.AddSynapses = append(d.AddSynapses, graph.Synapse{Pre: pre, Post: int32(rng.Intn(g.Neurons))})
 		}
 	}
 	shift := int(frac * float64(g.Neurons))

@@ -23,7 +23,7 @@ func TestSyntheticSynapseCountsMatchPaper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(app.Graph.Synapses); got != tc.want {
+		if got := len(app.Graph.CSR.Post); got != tc.want {
 			t.Fatalf("%dx%d synapses = %d, want %d", tc.layers, tc.width, got, tc.want)
 		}
 		if app.Graph.Neurons != 10+tc.layers*tc.width {
@@ -183,8 +183,8 @@ func TestDigitRecognitionTopology(t *testing.T) {
 	}
 	// Input -> exc full (196000) + exc->inh (250) + inh->exc (250*249).
 	want := 784*250 + 250 + 250*249
-	if len(g.Synapses) != want {
-		t.Fatalf("synapses = %d, want %d", len(g.Synapses), want)
+	if len(g.CSR.Post) != want {
+		t.Fatalf("synapses = %d, want %d", len(g.CSR.Post), want)
 	}
 	// Excitatory neurons must fire (the network is driven).
 	excGrp := g.Groups[1]

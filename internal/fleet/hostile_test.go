@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -40,12 +41,15 @@ func oversizedTable(t *testing.T) []byte {
 }
 
 // ownedHash returns a content address the ring over members assigns to
-// owner.
+// owner. The candidates are hex SHA-256 digests, which spread over the
+// ring like real content addresses; zero-padded counters share their
+// leading bytes and hash into a narrow band of it, which for some owner
+// URLs (ephemeral ports) holds no point of the owner's.
 func ownedHash(t *testing.T, owner string, members ...string) string {
 	t.Helper()
 	ring := NewRing(0, members...)
 	for i := 0; i < 10000; i++ {
-		h := fmt.Sprintf("%064x", i)
+		h := fmt.Sprintf("%x", sha256.Sum256(fmt.Appendf(nil, "%d", i)))
 		if o, _ := ring.Owner(h); o == owner {
 			return h
 		}

@@ -71,9 +71,9 @@ func init() {
 	}
 }
 
-// synapse appends one edge with a weight drawn from [0.5, 2.0) — weights do
-// not influence the mapping problem (only spike counts do) but keep the
-// graphs realistic for downstream consumers.
+// synapse draws one edge with a weight from [0.5, 2.0). The spike graph
+// keeps no weights (only spike counts shape the mapping problem), but the
+// draw stays: every spike train after it comes from the same rng stream.
 func synapse(rng *rand.Rand, pre, post int) graph.Synapse {
 	return graph.Synapse{
 		Pre:     int32(pre),

@@ -247,9 +247,13 @@ func Build(s Spec) (*apps.App, error) {
 	if err != nil {
 		return nil, err
 	}
+	csr, err := graph.NewCSR(s.N, synapses)
+	if err != nil {
+		return nil, fmt.Errorf("genapp: %s generated invalid graph: %w", s.Family, err)
+	}
 	g := &graph.SpikeGraph{
 		Neurons:    s.N,
-		Synapses:   synapses,
+		CSR:        csr,
 		Spikes:     trains(s, rng),
 		Groups:     groups,
 		DurationMs: s.DurationMs,

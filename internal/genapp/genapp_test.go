@@ -1,7 +1,6 @@
 package genapp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -31,7 +30,7 @@ func TestEveryFamilyBuildsValidApp(t *testing.T) {
 		if g.Neurons != 120 {
 			t.Fatalf("%s: neurons = %d", family, g.Neurons)
 		}
-		if len(g.Synapses) == 0 {
+		if len(g.CSR.Post) == 0 {
 			t.Fatalf("%s: no synapses", family)
 		}
 		if g.TotalSpikes() == 0 {
@@ -54,14 +53,7 @@ func TestGenAppDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b1, b2 bytes.Buffer
-		if err := a1.Graph.WriteJSON(&b1); err != nil {
-			t.Fatal(err)
-		}
-		if err := a2.Graph.WriteJSON(&b2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		if !sameGraph(a1.Graph, a2.Graph) {
 			t.Fatalf("%s: same spec produced different graphs", family)
 		}
 		s2 := s
@@ -70,11 +62,7 @@ func TestGenAppDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b3 bytes.Buffer
-		if err := a3.Graph.WriteJSON(&b3); err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(b1.Bytes(), b3.Bytes()) {
+		if sameGraph(a1.Graph, a3.Graph) {
 			t.Fatalf("%s: different seeds produced identical graphs", family)
 		}
 	}
@@ -96,7 +84,7 @@ func TestLayeredIsStrictlyFeedForward(t *testing.T) {
 			layerOf[i] = li
 		}
 	}
-	for _, syn := range g.Synapses {
+	for _, syn := range synapseList(g) {
 		if layerOf[syn.Post] != layerOf[syn.Pre]+1 {
 			t.Fatalf("edge %d→%d crosses layers %d→%d", syn.Pre, syn.Post, layerOf[syn.Pre], layerOf[syn.Post])
 		}
@@ -127,12 +115,12 @@ func TestSmallWorldLocality(t *testing.T) {
 		}
 		return d
 	}
-	for _, syn := range app.Graph.Synapses {
+	for _, syn := range synapseList(app.Graph) {
 		if d := ringDist(int(syn.Pre), int(syn.Post), 100); d > 4 {
 			t.Fatalf("unrewired edge %d→%d at ring distance %d > 4", syn.Pre, syn.Post, d)
 		}
 	}
-	if got, want := len(app.Graph.Synapses), 100*8; got != want {
+	if got, want := len(app.Graph.CSR.Post), 100*8; got != want {
 		t.Fatalf("synapses = %d, want %d", got, want)
 	}
 
@@ -143,12 +131,12 @@ func TestSmallWorldLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := 0
-	for _, syn := range app.Graph.Synapses {
+	for _, syn := range synapseList(app.Graph) {
 		if ringDist(int(syn.Pre), int(syn.Post), 100) > 4 {
 			long++
 		}
 	}
-	if frac := float64(long) / float64(len(app.Graph.Synapses)); frac < 0.25 || frac > 0.6 {
+	if frac := float64(long) / float64(len(app.Graph.CSR.Post)); frac < 0.25 || frac > 0.6 {
 		t.Fatalf("rewired long-range fraction %.2f, want ≈0.45", frac)
 	}
 }
@@ -187,12 +175,12 @@ func TestModularLocalFraction(t *testing.T) {
 			t.Fatalf("groups = %d, want 6", len(g.Groups))
 		}
 		intra := 0
-		for _, syn := range g.Synapses {
+		for _, syn := range synapseList(g) {
 			if g.GroupOf(int(syn.Pre)) == g.GroupOf(int(syn.Post)) {
 				intra++
 			}
 		}
-		frac := float64(intra) / float64(len(g.Synapses))
+		frac := float64(intra) / float64(len(g.CSR.Post))
 		if frac < plocal-0.08 || frac > plocal+0.08 {
 			t.Fatalf("plocal=%.1f: intra-cluster fraction %.3f outside ±0.08", plocal, frac)
 		}
@@ -207,11 +195,11 @@ func TestSparseRandomEdgeCount(t *testing.T) {
 	}
 	// Expected edges = n·k; a Binomial(n(n−1), k/(n−1)) concentrates
 	// tightly around it.
-	got, want := float64(len(app.Graph.Synapses)), float64(500*8)
+	got, want := float64(len(app.Graph.CSR.Post)), float64(500*8)
 	if got < want*0.85 || got > want*1.15 {
 		t.Fatalf("edges = %.0f, want ≈%.0f ±15%%", got, want)
 	}
-	for _, syn := range app.Graph.Synapses {
+	for _, syn := range synapseList(app.Graph) {
 		if syn.Pre == syn.Post {
 			t.Fatalf("self-loop at %d", syn.Pre)
 		}
@@ -347,14 +335,7 @@ func TestRegisteredInAppRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b1, b2 bytes.Buffer
-	if err := app.Graph.WriteJSON(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := again.Graph.WriteJSON(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !sameGraph(app.Graph, again.Graph) {
 		t.Fatal("spec seed did not override config seed")
 	}
 }

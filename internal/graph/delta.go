@@ -24,10 +24,12 @@ type RateShift struct {
 // or removes neurons, so a feasible assignment for the base graph stays
 // capacity-feasible (Eq. 4–5) on the perturbed one.
 type WorkloadDelta struct {
-	// AddSynapses are appended to the synapse list in order.
+	// AddSynapses are appended to their pre-synaptic neuron's out-list,
+	// in order.
 	AddSynapses []Synapse `json:"add_synapses,omitempty"`
 	// RemoveSynapses are matched by (pre, post); each entry removes the
-	// first remaining synapse with those endpoints, and an unmatched
+	// first remaining synapse with those endpoints in CSR order (the
+	// base graph's synapses, before any added one), and an unmatched
 	// entry is an error rather than a silent no-op.
 	RemoveSynapses []Synapse `json:"remove_synapses,omitempty"`
 	// RateShifts rescale spike trains per neuron; at most one shift per
@@ -49,42 +51,44 @@ func (d WorkloadDelta) Apply(g *SpikeGraph) (*SpikeGraph, error) {
 	if g == nil {
 		return nil, fmt.Errorf("graph: delta applied to nil graph")
 	}
-	for i, s := range d.AddSynapses {
-		if s.Pre < 0 || int(s.Pre) >= g.Neurons || s.Post < 0 || int(s.Post) >= g.Neurons {
-			return nil, fmt.Errorf("graph: delta add %d: synapse %d→%d out of range [0,%d)", i, s.Pre, s.Post, g.Neurons)
-		}
-		if s.DelayMs < 0 {
-			return nil, fmt.Errorf("graph: delta add %d: negative delay", i)
-		}
+	n := g.Neurons
+	adds, err := NewCSR(n, d.AddSynapses)
+	if err != nil {
+		return nil, fmt.Errorf("graph: delta add: %w", err)
 	}
-	out := &SpikeGraph{
-		Neurons:    g.Neurons,
-		Groups:     g.Groups,
-		DurationMs: g.DurationMs,
-	}
-
-	// Removals: drop the first remaining match per entry, in order.
 	drop := make(map[[2]int32]int, len(d.RemoveSynapses))
 	for i, s := range d.RemoveSynapses {
-		if s.Pre < 0 || int(s.Pre) >= g.Neurons || s.Post < 0 || int(s.Post) >= g.Neurons {
-			return nil, fmt.Errorf("graph: delta remove %d: synapse %d→%d out of range [0,%d)", i, s.Pre, s.Post, g.Neurons)
+		if s.Pre < 0 || int(s.Pre) >= n || s.Post < 0 || int(s.Post) >= n {
+			return nil, fmt.Errorf("graph: delta remove %d: synapse %d→%d out of range [0,%d)", i, s.Pre, s.Post, n)
 		}
 		drop[[2]int32{s.Pre, s.Post}]++
 	}
-	out.Synapses = make([]Synapse, 0, len(g.Synapses)+len(d.AddSynapses)-len(d.RemoveSynapses))
-	for _, s := range g.Synapses {
-		if k := [2]int32{s.Pre, s.Post}; drop[k] > 0 {
-			drop[k]--
-			continue
-		}
-		out.Synapses = append(out.Synapses, s)
+	out := &SpikeGraph{
+		Neurons:    n,
+		CSR:        CSR{Start: make([]int32, n+1), Post: make([]int32, 0, len(g.CSR.Post)+len(adds.Post))},
+		Groups:     g.Groups,
+		DurationMs: g.DurationMs,
 	}
+	// Per pre bucket: drop the first remaining (pre, post) match per
+	// removal entry, then append the added synapses in delta order.
+	post := out.CSR.Post
+	for i := 0; i < n; i++ {
+		for _, p := range g.CSR.OutPost(i) {
+			if k := [2]int32{int32(i), p}; drop[k] > 0 {
+				drop[k]--
+				continue
+			}
+			post = append(post, p)
+		}
+		post = append(post, adds.OutPost(i)...)
+		out.CSR.Start[i+1] = int32(len(post))
+	}
+	out.CSR.Post = post
 	for k, left := range drop {
 		if left > 0 {
 			return nil, fmt.Errorf("graph: delta removes %d more %d→%d synapses than exist", left, k[0], k[1])
 		}
 	}
-	out.Synapses = append(out.Synapses, d.AddSynapses...)
 
 	// Rate shifts: resample the listed trains, share the rest.
 	shift := make(map[int]float64, len(d.RateShifts))
@@ -102,8 +106,8 @@ func (d WorkloadDelta) Apply(g *SpikeGraph) (*SpikeGraph, error) {
 	}
 	out.Spikes = make([]spike.Train, g.Neurons)
 	copy(out.Spikes, g.Spikes)
-	for n, factor := range shift {
-		out.Spikes[n] = resampleTrain(g.Spikes[n], factor)
+	for neuron, factor := range shift {
+		out.Spikes[neuron] = resampleTrain(g.Spikes[neuron], factor)
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: delta produced invalid graph: %w", err)
@@ -145,7 +149,7 @@ func (d WorkloadDelta) Touched(g *SpikeGraph) []int {
 		seen[int(s.Post)] = true
 	}
 	if len(d.RateShifts) > 0 {
-		csr := g.CSR()
+		csr := &g.CSR
 		for _, rs := range d.RateShifts {
 			if rs.Neuron < 0 || rs.Neuron >= g.Neurons {
 				continue

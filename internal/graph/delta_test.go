@@ -28,18 +28,14 @@ func TestWorkloadDeltaApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The base graph is untouched.
-	if len(g.Synapses) != 4 || len(g.Spikes[0]) != 3 {
+	if len(g.CSR.Post) != 4 || len(g.Spikes[0]) != 3 {
 		t.Fatal("delta mutated the base graph")
 	}
-	// One 0→2 instance removed (the first), the add appended.
-	wantSyn := []Synapse{
-		{Pre: 0, Post: 1, Weight: 1, DelayMs: 1},
-		{Pre: 0, Post: 2, Weight: 1, DelayMs: 1},
-		{Pre: 1, Post: 1, Weight: 1, DelayMs: 1},
-		{Pre: 3, Post: 0, Weight: 1, DelayMs: 1},
-	}
-	if !reflect.DeepEqual(out.Synapses, wantSyn) {
-		t.Fatalf("synapses %v, want %v", out.Synapses, wantSyn)
+	// One 0→2 instance removed (the first), the add appended to 3's
+	// out-list.
+	want := CSR{Start: []int32{0, 2, 3, 3, 4}, Post: []int32{1, 2, 1, 0}}
+	if !reflect.DeepEqual(out.CSR, want) {
+		t.Fatalf("CSR %v, want %v", out.CSR, want)
 	}
 	// Factor 2 duplicates evenly and keeps timestamps non-decreasing;
 	// factor 0 silences.

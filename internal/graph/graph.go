@@ -7,17 +7,18 @@
 package graph
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/spike"
 )
 
-// Synapse is a directed connection ⟨pre, post⟩ between two neurons. Spike
-// times are stored once per neuron in SpikeGraph.Spikes rather than
-// per-synapse: Tij is by construction the pre-synaptic neuron's train.
+// Synapse is a directed connection ⟨pre, post⟩ between two neurons: the
+// transient list form a graph's CSR is built from (NewCSR) and the unit of
+// a WorkloadDelta. A graph stores neither Weight nor DelayMs (no mapper
+// reads them); NewCSR only checks the delay is non-negative. Spike times
+// are stored once per neuron in SpikeGraph.Spikes rather than per-synapse:
+// Tij is by construction the pre-synaptic neuron's train.
 type Synapse struct {
 	Pre     int32   `json:"pre"`
 	Post    int32   `json:"post"`
@@ -36,23 +37,24 @@ type Group struct {
 }
 
 // SpikeGraph is the initial specification of a trained SNN in terms of
-// synaptic weights and spike times (paper §III). It is generated by the SNN
-// simulator after a training/characterization run.
+// synaptic connectivity and spike times (paper §III). It is generated by
+// the SNN simulator after a training/characterization run. No mapper reads
+// a synapse's weight or delay, so the graph keeps only who connects to
+// whom (CSR) and each neuron's spike train.
 type SpikeGraph struct {
-	Neurons  int           `json:"neurons"`
-	Synapses []Synapse     `json:"synapses"`
-	Spikes   []spike.Train `json:"spikes"`
-	Groups   []Group       `json:"groups"`
+	Neurons int
+	// CSR is the synapse set as an out-adjacency indexed by pre-synaptic
+	// neuron, the only stored synapse form (see NewCSR).
+	CSR    CSR
+	Spikes []spike.Train
+	Groups []Group
 	// DurationMs is the length of the characterization run that produced
 	// the spike times.
-	DurationMs int64 `json:"duration_ms"`
+	DurationMs int64
 
-	// csrOnce/csrCache memoize the CSR adjacency (see CSR). Graphs are
+	// inOnce/inCache memoize the in-adjacency (see InCSR). Graphs are
 	// immutable after construction, so one build serves every technique
 	// and every concurrent sweep job.
-	csrOnce  sync.Once
-	csrCache *CSR
-	// inOnce/inCache memoize the in-adjacency (see InCSR).
 	inOnce  sync.Once
 	inCache *InCSR
 	// hgOnce/hgCache memoize the hyperedge view (see Hypergraph) under
@@ -61,9 +63,9 @@ type SpikeGraph struct {
 	hgCache *Hypergraph
 }
 
-// Validate checks structural invariants: synapse endpoints in range, spike
-// trains present for every neuron and sorted, groups contiguous and in
-// range.
+// Validate checks structural invariants: a well-formed CSR with synapse
+// endpoints in range, spike trains present for every neuron and sorted,
+// groups contiguous and in range.
 func (g *SpikeGraph) Validate() error {
 	if g.Neurons < 0 {
 		return fmt.Errorf("graph: negative neuron count %d", g.Neurons)
@@ -71,16 +73,8 @@ func (g *SpikeGraph) Validate() error {
 	if len(g.Spikes) != g.Neurons {
 		return fmt.Errorf("graph: %d spike trains for %d neurons", len(g.Spikes), g.Neurons)
 	}
-	for i, s := range g.Synapses {
-		if s.Pre < 0 || int(s.Pre) >= g.Neurons {
-			return fmt.Errorf("graph: synapse %d pre %d out of range", i, s.Pre)
-		}
-		if s.Post < 0 || int(s.Post) >= g.Neurons {
-			return fmt.Errorf("graph: synapse %d post %d out of range", i, s.Post)
-		}
-		if s.DelayMs < 0 {
-			return fmt.Errorf("graph: synapse %d negative delay", i)
-		}
+	if err := g.CSR.validate(g.Neurons); err != nil {
+		return err
 	}
 	for i, t := range g.Spikes {
 		if err := t.Validate(); err != nil {
@@ -120,10 +114,9 @@ func (g *SpikeGraph) TotalSpikes() int64 {
 // single-crossbar-per-neuron partition, i.e. an upper bound on interconnect
 // traffic.
 func (g *SpikeGraph) TotalSynapticTraffic() int64 {
-	counts := g.SpikeCounts()
 	var total int64
-	for _, s := range g.Synapses {
-		total += counts[s.Pre]
+	for i, t := range g.Spikes {
+		total += int64(len(t)) * int64(len(g.CSR.OutPost(i)))
 	}
 	return total
 }
@@ -131,8 +124,8 @@ func (g *SpikeGraph) TotalSynapticTraffic() int64 {
 // OutDegrees returns the out-degree of each neuron.
 func (g *SpikeGraph) OutDegrees() []int {
 	deg := make([]int, g.Neurons)
-	for _, s := range g.Synapses {
-		deg[s.Pre]++
+	for i := range deg {
+		deg[i] = len(g.CSR.OutPost(i))
 	}
 	return deg
 }
@@ -140,8 +133,8 @@ func (g *SpikeGraph) OutDegrees() []int {
 // InDegrees returns the in-degree of each neuron.
 func (g *SpikeGraph) InDegrees() []int {
 	deg := make([]int, g.Neurons)
-	for _, s := range g.Synapses {
-		deg[s.Post]++
+	for _, post := range g.CSR.Post {
+		deg[post]++
 	}
 	return deg
 }
@@ -158,111 +151,105 @@ func (g *SpikeGraph) GroupOf(i int) *Group {
 	return nil
 }
 
-// CSR is a compressed sparse row view of the synapse list, indexed by
-// pre-synaptic neuron: the posts of neuron i are Post[Start[i]:Start[i+1]],
-// in synapse-list order. Partitioners use it for cache-friendly fitness
-// evaluation.
+// CSR is a compressed sparse row adjacency indexed by pre-synaptic neuron:
+// the posts of neuron i are Post[Start[i]:Start[i+1]]. Partitioners use it
+// for cache-friendly fitness evaluation.
 type CSR struct {
 	Start []int32 // length Neurons+1
 	Post  []int32 // a 4-byte post index per synapse, grouped by pre
 }
 
-// CSR returns the graph's CSR adjacency, building it on first use and
-// reusing it afterwards. The cache is safe for concurrent callers;
-// mutating Synapses after the first call is not supported (graphs are
-// treated as immutable once characterized).
-func (g *SpikeGraph) CSR() *CSR {
-	g.csrOnce.Do(func() { g.csrCache = g.BuildCSR() })
-	return g.csrCache
+// NewCSR counting-sorts a synapse list into the CSR of a graph of n
+// neurons. Placement walks the list in order, so each pre's posts keep
+// list order. It rejects endpoints outside [0, n) and negative delays;
+// the list itself is not retained.
+func NewCSR(n int, syn []Synapse) (CSR, error) {
+	c := CSR{Start: make([]int32, n+1)}
+	for i, s := range syn {
+		if s.Pre < 0 || int(s.Pre) >= n || s.Post < 0 || int(s.Post) >= n {
+			return CSR{}, fmt.Errorf("graph: synapse %d %d→%d out of range [0,%d)", i, s.Pre, s.Post, n)
+		}
+		if s.DelayMs < 0 {
+			return CSR{}, fmt.Errorf("graph: synapse %d negative delay", i)
+		}
+		c.Start[s.Pre+1]++
+	}
+	for i := 1; i <= n; i++ {
+		c.Start[i] += c.Start[i-1]
+	}
+	// Place through Start[pre] as the bucket cursor; afterwards Start[i]
+	// holds bucket i's end, which is bucket i+1's start.
+	c.Post = make([]int32, len(syn))
+	for _, s := range syn {
+		c.Post[c.Start[s.Pre]] = s.Post
+		c.Start[s.Pre]++
+	}
+	copy(c.Start[1:], c.Start[:n])
+	c.Start[0] = 0
+	return c, nil
 }
 
-// BuildCSR constructs a fresh CSR adjacency of the graph. Most callers
-// want the cached CSR method instead.
-func (g *SpikeGraph) BuildCSR() *CSR {
-	start, post := g.adjacency(false)
-	return &CSR{Start: start, Post: post}
+// validate checks that c is a CSR of n neurons: n+1 non-decreasing
+// offsets from 0 to len(Post), and every post in range.
+func (c *CSR) validate(n int) error {
+	if len(c.Start) != n+1 || c.Start[0] != 0 || int(c.Start[n]) != len(c.Post) {
+		return fmt.Errorf("graph: CSR offsets do not span %d synapses of %d neurons", len(c.Post), n)
+	}
+	for i := 0; i < n; i++ {
+		if c.Start[i] > c.Start[i+1] {
+			return fmt.Errorf("graph: CSR offsets decrease at neuron %d", i)
+		}
+	}
+	for k, post := range c.Post {
+		if post < 0 || int(post) >= n {
+			return fmt.Errorf("graph: synapse %d post %d out of range", k, post)
+		}
+	}
+	return nil
 }
 
-// OutPost returns the post-synaptic neurons of i, in synapse-list order.
+// OutPost returns the post-synaptic neurons of i, in CSR order.
 func (c *CSR) OutPost(i int) []int32 {
 	return c.Post[c.Start[i]:c.Start[i+1]]
 }
 
-// InCSR is the in-adjacency of the synapse list, indexed by post-synaptic
-// neuron: the pres of neuron j are Pre[Start[j]:Start[j+1]], in
-// synapse-list order.
+// InCSR is the in-adjacency of the graph, indexed by post-synaptic
+// neuron: the pres of neuron j are Pre[Start[j]:Start[j+1]], in CSR
+// order (ascending pre, and CSR order within one pre).
 type InCSR struct {
 	Start []int32 // length Neurons+1
 	Pre   []int32 // a 4-byte pre index per synapse, grouped by post
 }
 
-// InCSR returns the graph's in-adjacency, memoized like CSR and under the
-// same immutability contract.
+// InCSR returns the graph's in-adjacency, built from the CSR on first use
+// and reused afterwards. The cache is safe for concurrent callers.
 func (g *SpikeGraph) InCSR() *InCSR {
 	g.inOnce.Do(func() {
-		start, pre := g.adjacency(true)
-		g.inCache = &InCSR{Start: start, Pre: pre}
+		n, out := g.Neurons, &g.CSR
+		in := &InCSR{Start: make([]int32, n+1), Pre: make([]int32, len(out.Post))}
+		for _, post := range out.Post {
+			in.Start[post+1]++
+		}
+		for j := 1; j <= n; j++ {
+			in.Start[j] += in.Start[j-1]
+		}
+		// Place through Start[post] as the cursor, as NewCSR does.
+		for i := 0; i < n; i++ {
+			for _, post := range out.OutPost(i) {
+				in.Pre[in.Start[post]] = int32(i)
+				in.Start[post]++
+			}
+		}
+		copy(in.Start[1:], in.Start[:n])
+		in.Start[0] = 0
+		g.inCache = in
 	})
 	return g.inCache
 }
 
-// InPre returns the pre-synaptic neurons of j, in synapse-list order.
+// InPre returns the pre-synaptic neurons of j, in CSR order.
 func (c *InCSR) InPre(j int) []int32 {
 	return c.Pre[c.Start[j]:c.Start[j+1]]
-}
-
-// adjacency counting-sorts the synapse list by pre (or by post when in
-// is set) and returns the bucket offsets and each synapse's other
-// endpoint. Placement walks the list in order, so each bucket keeps
-// synapse-list order.
-func (g *SpikeGraph) adjacency(in bool) (start, other []int32) {
-	n := g.Neurons
-	start = make([]int32, n+1)
-	for _, s := range g.Synapses {
-		key := s.Pre
-		if in {
-			key = s.Post
-		}
-		start[key+1]++
-	}
-	for i := 1; i <= n; i++ {
-		start[i] += start[i-1]
-	}
-	// Place through start[key] as the bucket cursor; afterwards start[i]
-	// holds bucket i's end, which is bucket i+1's start.
-	other = make([]int32, len(g.Synapses))
-	for _, s := range g.Synapses {
-		key, val := s.Pre, s.Post
-		if in {
-			key, val = s.Post, s.Pre
-		}
-		other[start[key]] = val
-		start[key]++
-	}
-	copy(start[1:], start[:n])
-	start[0] = 0
-	return start, other
-}
-
-// WriteJSON serializes the graph to w as JSON.
-func (g *SpikeGraph) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(g)
-}
-
-// ReadJSON deserializes a graph written by WriteJSON and validates it.
-func ReadJSON(r io.Reader) (*SpikeGraph, error) {
-	var g SpikeGraph
-	if err := json.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("graph: decoding JSON: %w", err)
-	}
-	if g.Spikes == nil && g.Neurons >= 0 {
-		g.Spikes = make([]spike.Train, g.Neurons)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &g, nil
 }
 
 // Stats summarizes a spike graph for reporting.
@@ -280,7 +267,7 @@ type Stats struct {
 func (g *SpikeGraph) Summary() Stats {
 	st := Stats{
 		Neurons:     g.Neurons,
-		Synapses:    len(g.Synapses),
+		Synapses:    len(g.CSR.Post),
 		TotalSpikes: g.TotalSpikes(),
 		Traffic:     float64(g.TotalSynapticTraffic()),
 	}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,17 +10,26 @@ import (
 	"repro/internal/spike"
 )
 
+// mustCSR builds the CSR of a hand-made synapse list.
+func mustCSR(n int, syn []Synapse) CSR {
+	c, err := NewCSR(n, syn)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // testGraph builds a small 4-neuron chain 0->1->2->3 plus a skip synapse
 // 0->3 with known spike counts.
 func testGraph() *SpikeGraph {
 	return &SpikeGraph{
 		Neurons: 4,
-		Synapses: []Synapse{
+		CSR: mustCSR(4, []Synapse{
 			{Pre: 0, Post: 1, Weight: 1},
 			{Pre: 1, Post: 2, Weight: 1},
 			{Pre: 2, Post: 3, Weight: 1},
 			{Pre: 0, Post: 3, Weight: 0.5},
-		},
+		}),
 		Spikes: []spike.Train{
 			{0, 10, 20}, // neuron 0: 3 spikes
 			{5},         // neuron 1: 1 spike
@@ -44,22 +52,38 @@ func TestValidateAcceptsGood(t *testing.T) {
 }
 
 func TestValidateRejectsBad(t *testing.T) {
+	// A synapse enters a graph only through NewCSR, which rejects bad
+	// endpoints and delays; Validate rejects a malformed CSR.
+	fromList := func(syn Synapse) func(*SpikeGraph) error {
+		return func(g *SpikeGraph) error {
+			_, err := NewCSR(g.Neurons, []Synapse{syn})
+			return err
+		}
+	}
+	validated := func(mutate func(*SpikeGraph)) func(*SpikeGraph) error {
+		return func(g *SpikeGraph) error {
+			mutate(g)
+			return g.Validate()
+		}
+	}
 	cases := []struct {
-		name   string
-		mutate func(*SpikeGraph)
+		name string
+		bad  func(*SpikeGraph) error
 	}{
-		{"pre out of range", func(g *SpikeGraph) { g.Synapses[0].Pre = 99 }},
-		{"post out of range", func(g *SpikeGraph) { g.Synapses[0].Post = -1 }},
-		{"negative delay", func(g *SpikeGraph) { g.Synapses[0].DelayMs = -2 }},
-		{"train count mismatch", func(g *SpikeGraph) { g.Spikes = g.Spikes[:2] }},
-		{"unsorted train", func(g *SpikeGraph) { g.Spikes[0] = spike.Train{5, 1} }},
-		{"group out of bounds", func(g *SpikeGraph) { g.Groups[0].N = 100 }},
+		{"pre out of range", fromList(Synapse{Pre: 99, Post: 0})},
+		{"post out of range", fromList(Synapse{Pre: 0, Post: -1})},
+		{"negative delay", fromList(Synapse{Pre: 0, Post: 1, DelayMs: -2})},
+		{"CSR post out of range", validated(func(g *SpikeGraph) { g.CSR.Post[0] = 99 })},
+		{"CSR offsets short", validated(func(g *SpikeGraph) { g.CSR.Start = g.CSR.Start[:4] })},
+		{"CSR offsets decrease", validated(func(g *SpikeGraph) { g.CSR.Start[1], g.CSR.Start[2] = 3, 2 })},
+		{"CSR offsets miss synapses", validated(func(g *SpikeGraph) { g.CSR.Post = g.CSR.Post[:3] })},
+		{"train count mismatch", validated(func(g *SpikeGraph) { g.Spikes = g.Spikes[:2] })},
+		{"unsorted train", validated(func(g *SpikeGraph) { g.Spikes[0] = spike.Train{5, 1} })},
+		{"group out of bounds", validated(func(g *SpikeGraph) { g.Groups[0].N = 100 })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := testGraph()
-			tc.mutate(g)
-			if err := g.Validate(); err == nil {
+			if err := tc.bad(testGraph()); err == nil {
 				t.Fatal("expected validation error")
 			}
 		})
@@ -100,7 +124,7 @@ func TestGroupOf(t *testing.T) {
 	if grp := g.GroupOf(2); grp == nil || grp.Name != "hidden" {
 		t.Fatalf("GroupOf(2) = %v", grp)
 	}
-	g2 := &SpikeGraph{Neurons: 1, Spikes: []spike.Train{{}}}
+	g2 := &SpikeGraph{Neurons: 1, CSR: mustCSR(1, nil), Spikes: []spike.Train{{}}}
 	if g2.GroupOf(0) != nil {
 		t.Fatal("uncovered neuron should have nil group")
 	}
@@ -108,53 +132,47 @@ func TestGroupOf(t *testing.T) {
 
 func TestBuildCSR(t *testing.T) {
 	g := testGraph()
-	csr := g.BuildCSR()
+	csr := &g.CSR
 	if out0 := csr.OutPost(0); !reflect.DeepEqual(out0, []int32{1, 3}) {
 		t.Fatalf("OutPost(0) = %v", out0)
 	}
 	if len(csr.OutPost(3)) != 0 {
 		t.Fatal("OutPost(3) should be empty")
 	}
-	if len(csr.Post) != len(g.Synapses) {
-		t.Fatalf("CSR total %d != %d", len(csr.Post), len(g.Synapses))
+	if len(csr.Post) != 4 {
+		t.Fatalf("CSR total %d != 4", len(csr.Post))
 	}
+	// The in-adjacency lists pres in CSR order: 0→3 sorts before 2→3
+	// although the hand-made list gives 2→3 first.
 	in := g.InCSR()
-	if in3 := in.InPre(3); !reflect.DeepEqual(in3, []int32{2, 0}) {
+	if in3 := in.InPre(3); !reflect.DeepEqual(in3, []int32{0, 2}) {
 		t.Fatalf("InPre(3) = %v", in3)
 	}
 	if len(in.InPre(0)) != 0 {
 		t.Fatal("InPre(0) should be empty")
 	}
-	if g.CSR() != g.CSR() || g.InCSR() != in {
-		t.Fatal("CSR and InCSR must be memoized")
+	if g.InCSR() != in {
+		t.Fatal("InCSR must be memoized")
 	}
 }
 
 // TestCSRProperty pins the counting-placement adjacencies to the frozen
-// builds they replaced (referenceCSR, referenceInAdj) on random graphs
-// with self-loops, parallel synapses and neurons of degree zero: every
-// offset and every endpoint, in order.
+// list-based builds they replaced (referenceCSR, and referenceInAdj over
+// the list stably sorted by pre, which is the order a graph now keeps) on
+// random lists with self-loops, parallel synapses and neurons of degree
+// zero: every offset and every endpoint, in order.
 func TestCSRProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
-		g := &SpikeGraph{Neurons: n, Spikes: make([]spike.Train, n)}
-		m := rng.Intn(200)
-		for i := 0; i < m; i++ {
-			g.Synapses = append(g.Synapses, Synapse{
-				Pre:     int32(rng.Intn(n)),
-				Post:    int32(rng.Intn(n)),
-				Weight:  rng.Float64(),
-				DelayMs: int32(rng.Intn(4)),
-			})
-		}
-		start, syn := referenceCSR(g)
-		post := make([]int32, len(syn))
-		for q, s := range syn {
+		syn := randomSynapses(rng, n, rng.Intn(200))
+		start, sorted := referenceCSR(n, syn)
+		post := make([]int32, len(sorted))
+		for q, s := range sorted {
 			post[q] = s.Post
 		}
-		csr := g.BuildCSR()
-		if !slices.Equal(csr.Start, start) || !slices.Equal(csr.Post, post) {
+		csr, err := NewCSR(n, syn)
+		if err != nil || !slices.Equal(csr.Start, start) || !slices.Equal(csr.Post, post) {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -162,7 +180,11 @@ func TestCSRProperty(t *testing.T) {
 				return false
 			}
 		}
-		inStart, pre := referenceInAdj(g)
+		g := &SpikeGraph{Neurons: n, CSR: csr, Spikes: make([]spike.Train, n)}
+		if g.Validate() != nil {
+			return false
+		}
+		inStart, pre := referenceInAdj(n, sorted)
 		in := g.InCSR()
 		if !slices.Equal(in.Start, inStart) || !slices.Equal(in.Pre, pre) {
 			return false
@@ -176,33 +198,6 @@ func TestCSRProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	g := testGraph()
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Neurons != g.Neurons || len(back.Synapses) != len(g.Synapses) {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-	if !reflect.DeepEqual(back.Groups, g.Groups) {
-		t.Fatalf("groups mismatch: %v vs %v", back.Groups, g.Groups)
-	}
-}
-
-func TestReadJSONRejectsInvalid(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewBufferString(`{"neurons":-3}`)); err == nil {
-		t.Fatal("negative neuron count must be rejected")
-	}
-	if _, err := ReadJSON(bytes.NewBufferString(`not json`)); err == nil {
-		t.Fatal("malformed JSON must be rejected")
 	}
 }
 

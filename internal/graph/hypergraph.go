@@ -1,6 +1,6 @@
 package graph
 
-// Hypergraph is the multicast view of the synapse list: one hyperedge per
+// Hypergraph is the multicast view of the synapse set: one hyperedge per
 // neuron, spanning the neuron itself plus the post-synaptic endpoint of
 // every out-synapse. A presynaptic spike is one multicast to the crossbars
 // its hyperedge pins occupy — not len(fan-out) pairwise sends — which is
@@ -33,7 +33,7 @@ func (h *Hypergraph) PinsOf(e int) []int32 {
 }
 
 // Hypergraph returns the graph's hyperedge view, building it from the
-// memoized CSR on first use and reusing it afterwards. Like CSR, the
+// CSR on first use and reusing it afterwards. Like InCSR, the
 // cache is safe for concurrent callers and assumes the graph is immutable
 // once characterized.
 func (g *SpikeGraph) Hypergraph() *Hypergraph {
@@ -44,7 +44,7 @@ func (g *SpikeGraph) Hypergraph() *Hypergraph {
 // BuildHypergraph constructs a fresh hyperedge view of the graph. Most
 // callers want the cached Hypergraph method instead.
 func (g *SpikeGraph) BuildHypergraph() *Hypergraph {
-	csr := g.CSR()
+	csr := &g.CSR
 	n := g.Neurons
 	h := &Hypergraph{
 		Start:  make([]int32, n+1),

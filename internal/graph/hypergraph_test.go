@@ -11,12 +11,12 @@ func hgTestGraph() *SpikeGraph {
 	// 4 neurons: 0→{1,2,2}, 1→1 (self-loop), 3 silent with no fan-out.
 	return &SpikeGraph{
 		Neurons: 4,
-		Synapses: []Synapse{
+		CSR: mustCSR(4, []Synapse{
 			{Pre: 0, Post: 1, Weight: 1, DelayMs: 1},
 			{Pre: 0, Post: 2, Weight: 1, DelayMs: 1},
 			{Pre: 0, Post: 2, Weight: 1, DelayMs: 1},
 			{Pre: 1, Post: 1, Weight: 1, DelayMs: 1},
-		},
+		}),
 		Spikes: []spike.Train{
 			{0, 5, 10},
 			{1},
@@ -54,7 +54,7 @@ func TestBuildHypergraph(t *testing.T) {
 		t.Fatal("Hypergraph is not memoized")
 	}
 	// Total pins = neurons + synapses.
-	if got, want := len(h.Pins), g.Neurons+len(g.Synapses); got != want {
+	if got, want := len(h.Pins), g.Neurons+len(g.CSR.Post); got != want {
 		t.Fatalf("pins %d, want %d", got, want)
 	}
 }

@@ -263,9 +263,11 @@ func LocalActivityCounts(g *graph.SpikeGraph, counts []int64, assign []int, a Ar
 		return LocalStats{}, fmt.Errorf("hardware: spike counts cover %d of %d neurons", len(counts), g.Neurons)
 	}
 	var events int64
-	for _, s := range g.Synapses {
-		if assign[s.Pre] == assign[s.Post] {
-			events += counts[s.Pre]
+	for i, c := range counts {
+		for _, post := range g.CSR.OutPost(i) {
+			if assign[i] == assign[post] {
+				events += c
+			}
 		}
 	}
 	return LocalStats{

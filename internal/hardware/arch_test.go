@@ -125,13 +125,17 @@ func TestReadJSONRejectsInvalid(t *testing.T) {
 }
 
 func TestLocalActivity(t *testing.T) {
+	csr, err := graph.NewCSR(4, []graph.Synapse{
+		{Pre: 0, Post: 1}, // same crossbar under assign below
+		{Pre: 0, Post: 2}, // crosses
+		{Pre: 2, Post: 3}, // same
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := &graph.SpikeGraph{
 		Neurons: 4,
-		Synapses: []graph.Synapse{
-			{Pre: 0, Post: 1}, // same crossbar under assign below
-			{Pre: 0, Post: 2}, // crosses
-			{Pre: 2, Post: 3}, // same
-		},
+		CSR:     csr,
 		Spikes: []spike.Train{
 			{0, 1, 2}, // 3 spikes
 			{},

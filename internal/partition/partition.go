@@ -61,8 +61,8 @@ type fanRun struct {
 }
 
 // NewProblem validates the instance and precomputes the fitness structures.
-// The adjacencies are the graph's memoized ones, shared by every Problem
-// over the graph.
+// The adjacencies are the graph's own CSR and memoized in-adjacency,
+// shared by every Problem over the graph.
 func NewProblem(g *graph.SpikeGraph, crossbars, crossbarSize int) (*Problem, error) {
 	if g == nil {
 		return nil, errors.New("partition: nil graph")
@@ -84,7 +84,7 @@ func NewProblem(g *graph.SpikeGraph, crossbars, crossbarSize int) (*Problem, err
 		Crossbars:    crossbars,
 		CrossbarSize: crossbarSize,
 		counts:       g.SpikeCounts(),
-		csr:          g.CSR(),
+		csr:          &g.CSR,
 		in:           g.InCSR(),
 	}
 	n := g.Neurons
@@ -295,9 +295,11 @@ func (p *Problem) TrafficMatrix(a Assignment) [][]int64 {
 // complement is the number of local synapses.
 func (p *Problem) GlobalSynapseCount(a Assignment) int {
 	n := 0
-	for _, s := range p.Graph.Synapses {
-		if a[s.Pre] != a[s.Post] {
-			n++
+	for i := 0; i < p.Graph.Neurons; i++ {
+		for _, post := range p.csr.OutPost(i) {
+			if a[i] != a[post] {
+				n++
+			}
 		}
 	}
 	return n

@@ -15,10 +15,11 @@ import (
 func chainGraph(layers, width int, rate int) *graph.SpikeGraph {
 	n := layers * width
 	g := &graph.SpikeGraph{Neurons: n, Spikes: make([]spike.Train, n), DurationMs: 1000}
+	var syn []graph.Synapse
 	for l := 0; l < layers-1; l++ {
 		for i := 0; i < width; i++ {
 			for j := 0; j < width; j++ {
-				g.Synapses = append(g.Synapses, graph.Synapse{
+				syn = append(syn, graph.Synapse{
 					Pre:    int32(l*width + i),
 					Post:   int32((l+1)*width + j),
 					Weight: 1, DelayMs: 1,
@@ -26,6 +27,7 @@ func chainGraph(layers, width int, rate int) *graph.SpikeGraph {
 			}
 		}
 	}
+	g.CSR = mustCSR(n, syn)
 	for l := 0; l < layers; l++ {
 		for i := 0; i < width; i++ {
 			tr := make(spike.Train, rate)
@@ -43,16 +45,27 @@ func chainGraph(layers, width int, rate int) *graph.SpikeGraph {
 	return g
 }
 
+// mustCSR builds the CSR of a test graph's synapse list.
+func mustCSR(n int, syn []graph.Synapse) graph.CSR {
+	c, err := graph.NewCSR(n, syn)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // randomGraph builds a random graph for property tests.
 func randomGraph(rng *rand.Rand, n, syn int) *graph.SpikeGraph {
 	g := &graph.SpikeGraph{Neurons: n, Spikes: make([]spike.Train, n), DurationMs: 100}
-	for i := 0; i < syn; i++ {
-		g.Synapses = append(g.Synapses, graph.Synapse{
+	list := make([]graph.Synapse, syn)
+	for i := range list {
+		list[i] = graph.Synapse{
 			Pre:    int32(rng.Intn(n)),
 			Post:   int32(rng.Intn(n)),
 			Weight: 1, DelayMs: 1,
-		})
+		}
 	}
+	g.CSR = mustCSR(n, list)
 	for i := 0; i < n; i++ {
 		c := rng.Intn(5)
 		tr := make(spike.Train, c)
@@ -180,19 +193,21 @@ func TestGlobalSynapsesComplement(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randomFeasible(p, rng)
 		global, local := 0, 0
-		for _, s := range g.Synapses {
-			if a[s.Pre] != a[s.Post] {
-				global++
-			} else {
-				local++
+		for pre := 0; pre < g.Neurons; pre++ {
+			for _, post := range g.CSR.OutPost(pre) {
+				if a[pre] != a[post] {
+					global++
+				} else {
+					local++
+				}
 			}
 		}
 		got := p.GlobalSynapseCount(a)
 		if got != global {
 			t.Fatalf("trial %d: GlobalSynapseCount = %d, brute force %d", trial, got, global)
 		}
-		if len(g.Synapses)-got != local {
-			t.Fatalf("trial %d: complement %d != local count %d", trial, len(g.Synapses)-got, local)
+		if len(g.CSR.Post)-got != local {
+			t.Fatalf("trial %d: complement %d != local count %d", trial, len(g.CSR.Post)-got, local)
 		}
 	}
 }

@@ -143,6 +143,11 @@ func (w *psoWork) add(o psoWork) {
 	w.clampHits += o.clampHits
 }
 
+// rngPool recycles particle generators across solves. Seed re-initializes
+// a generator completely, so a reused one draws exactly the stream a fresh
+// rand.New(rand.NewSource(seed)) would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // swarmRun is the state every particle of one Partition call shares.
 type swarmRun struct {
 	p    *Problem
@@ -189,10 +194,11 @@ func (o *PSO) solve(p *Problem) (Assignment, psoWork, error) {
 		pt := &particle{
 			vel:   make([]float32, n*c),
 			pos:   make(Assignment, n),
-			rng:   rand.New(rand.NewSource(master.Int63())),
+			rng:   rngPool.Get().(*rand.Rand),
 			loads: make([]int, c),
 			probs: make([]float64, c),
 		}
+		pt.rng.Seed(master.Int63())
 		if s < len(seeds) {
 			// Heuristic seed: adopt the baseline position exactly and
 			// bias velocities toward it so the first repair keeps it
@@ -301,6 +307,7 @@ func (o *PSO) solve(p *Problem) (Assignment, psoWork, error) {
 
 	for _, pt := range swarm {
 		work.add(pt.work)
+		rngPool.Put(pt.rng)
 	}
 	if err := p.Validate(gbest); err != nil {
 		return nil, work, fmt.Errorf("partition: PSO internal error: %w", err)

@@ -288,7 +288,9 @@ func (n *Network) ConnectKernel2D(src, dst *Group, width, height int, kernel [][
 }
 
 // ConnectCustom installs an explicit edge list. Every edge is validated
-// against the group sizes and must have delay >= 1 ms.
+// against the group sizes and must have delay >= 1 ms. The connection
+// takes ownership of edges: the caller must not modify the slice after a
+// successful call.
 func (n *Network) ConnectCustom(src, dst *Group, edges []Edge) (*Connection, error) {
 	if err := n.checkGroups(src, dst); err != nil {
 		return nil, err
@@ -304,9 +306,7 @@ func (n *Network) ConnectCustom(src, dst *Group, edges []Edge) (*Connection, err
 			return nil, fmt.Errorf("snn: edge %d delay %d ms < 1 ms", i, e.DelayMs)
 		}
 	}
-	cp := make([]Edge, len(edges))
-	copy(cp, edges)
-	c := &Connection{Src: src, Dst: dst, Edges: cp}
+	c := &Connection{Src: src, Dst: dst, Edges: edges}
 	n.conns = append(n.conns, c)
 	return c, nil
 }

@@ -24,7 +24,7 @@ type Sim struct {
 	synDst   []int32
 	synW     []float64
 	synDelay []int32
-	synConn  []int32 // owning connection index (for plasticity)
+	synConn  []int32 // owning connection index; nil unless some connection is plastic
 
 	// Reverse CSR restricted to plastic synapses, for OnPost updates.
 	plasticInStart []int32
@@ -102,7 +102,17 @@ func NewSim(net *Network) (*Sim, error) {
 	s.synDst = make([]int32, nSyn)
 	s.synW = make([]float64, nSyn)
 	s.synDelay = make([]int32, nSyn)
-	s.synConn = make([]int32, nSyn)
+	s.stdp = make([]neuron.STDP, len(net.conns))
+	anyPlastic := false
+	for ci, c := range net.conns {
+		if c.Plastic {
+			s.stdp[ci] = neuron.STDP{P: c.STDP}
+			anyPlastic = true
+		}
+	}
+	if anyPlastic {
+		s.synConn = make([]int32, nSyn)
+	}
 	cursor := make([]int32, total)
 	copy(cursor, s.synStart[:total])
 	for ci, c := range net.conns {
@@ -115,19 +125,13 @@ func NewSim(net *Network) (*Sim, error) {
 			s.synDst[k] = int32(dstBase + int(e.DstLocal))
 			s.synW[k] = e.Weight
 			s.synDelay[k] = e.DelayMs
-			s.synConn[k] = int32(ci)
+			if s.synConn != nil {
+				s.synConn[k] = int32(ci)
+			}
 		}
 	}
 
 	// Reverse CSR over plastic synapses only.
-	s.stdp = make([]neuron.STDP, len(net.conns))
-	anyPlastic := false
-	for ci, c := range net.conns {
-		if c.Plastic {
-			s.stdp[ci] = neuron.STDP{P: c.STDP}
-			anyPlastic = true
-		}
-	}
 	if anyPlastic {
 		inCounts := make([]int32, total+1)
 		for k := 0; k < nSyn; k++ {
@@ -317,24 +321,24 @@ func (s *Sim) SynapseWeights() []float64 {
 	return out
 }
 
+// exportHook, when set, sees every simulator whose graph Graph exports.
+// The frozen-simulator tests use it to replay an application's network
+// through the reference build; it is nil otherwise.
+var exportHook func(*Sim)
+
 // Graph exports the simulated network and its recorded spikes as the spike
-// graph consumed by the partitioning framework. Weights reflect any STDP
-// updates; spike trains are deep-copied.
+// graph consumed by the partitioning framework. The graph's CSR is the
+// simulator's own synapse layout, shared rather than copied: NewSim fills
+// synStart and synDst and nothing writes them afterwards (STDP only moves
+// weights, which the graph does not keep). Spike trains are deep-copied.
 func (s *Sim) Graph() (*graph.SpikeGraph, error) {
+	if exportHook != nil {
+		exportHook(s)
+	}
 	g := &graph.SpikeGraph{
 		Neurons:    s.total,
+		CSR:        graph.CSR{Start: s.synStart, Post: s.synDst},
 		DurationMs: s.now,
-	}
-	g.Synapses = make([]graph.Synapse, 0, len(s.synDst))
-	for i := 0; i < s.total; i++ {
-		for k := s.synStart[i]; k < s.synStart[i+1]; k++ {
-			g.Synapses = append(g.Synapses, graph.Synapse{
-				Pre:     int32(i),
-				Post:    s.synDst[k],
-				Weight:  s.synW[k],
-				DelayMs: s.synDelay[k],
-			})
-		}
 	}
 	g.Spikes = make([]spike.Train, s.total)
 	for i, t := range s.spikes {

@@ -335,8 +335,8 @@ func TestSimGraphExport(t *testing.T) {
 	if g.Neurons != 12 {
 		t.Fatalf("graph neurons = %d, want 12", g.Neurons)
 	}
-	if len(g.Synapses) != 35 {
-		t.Fatalf("graph synapses = %d, want 35", len(g.Synapses))
+	if len(g.CSR.Post) != 35 {
+		t.Fatalf("graph synapses = %d, want 35", len(g.CSR.Post))
 	}
 	if len(g.Groups) != 2 || g.Groups[1].Start != 5 || g.Groups[1].Kind != "excitatory" {
 		t.Fatalf("graph groups = %+v", g.Groups)

@@ -138,8 +138,9 @@ func WithObserver(obs Observer) Option {
 // Run/RunSeeds/Compare calls, concurrently if desired. It is the unit of
 // reuse a sweep (or a future mapping server) holds per grid cell instead
 // of paying construction on every run. The spike graph's out- and
-// in-adjacency are per graph, not per session: the graph memoizes them
-// on first use, so every session and problem over one graph shares them.
+// in-adjacency are per graph, not per session: the CSR is the graph's
+// synapse form and the graph memoizes the in-adjacency on first use, so
+// every session and problem over one graph shares them.
 //
 // Every run draws a replay context from an internal pool — a simulator
 // forked from the session prototype (sharing its immutable topology and
@@ -321,7 +322,7 @@ func (pl *Pipeline) runWith(ctx context.Context, r *replay, pt Partitioner, obs 
 		Technique:     res.Technique,
 		ArchName:      pl.arch.Name,
 		Neurons:       pl.app.Graph.Neurons,
-		Synapses:      len(pl.app.Graph.Synapses),
+		Synapses:      len(pl.app.Graph.CSR.Post),
 		Assignment:    placed,
 		GlobalTraffic: res.Cost,
 	}

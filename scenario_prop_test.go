@@ -3,12 +3,15 @@ package snnmap
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/genapp"
+	"repro/internal/graph"
 	"repro/internal/hardware"
+	"repro/internal/spike"
 )
 
 // The scenario property harness pins, for every generator family × every
@@ -60,14 +63,22 @@ func propPartitioners() []Partitioner {
 // propArchNames samples both interconnect families of the registry.
 var propArchNames = []string{"tree", "mesh"}
 
-// graphJSON serializes a spike graph for byte-level comparison.
+// graphJSON serializes the whole of a spike graph (neurons, CSR, spike
+// trains, groups, duration) for byte-level comparison.
 func graphJSON(t *testing.T, app *App) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := app.Graph.WriteJSON(&buf); err != nil {
+	g := app.Graph
+	b, err := json.Marshal(struct {
+		Neurons    int
+		CSR        graph.CSR
+		Spikes     []spike.Train
+		Groups     []graph.Group
+		DurationMs int64
+	}{g.Neurons, g.CSR, g.Spikes, g.Groups, g.DurationMs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // reportTableBytes renders a report as its canonical CSV Table — the
@@ -227,7 +238,7 @@ func checkPerStreamConservation(t *testing.T, app *App, assign Assignment, cross
 		dst int
 	}
 	want := map[stream]int64{}
-	csr := g.CSR()
+	csr := &g.CSR
 	seen := make([]bool, crossbars)
 	for i := 0; i < g.Neurons; i++ {
 		spikes := int64(len(g.Spikes[i]))

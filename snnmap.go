@@ -239,7 +239,7 @@ func (sc *trafficScratch) injectAndRun(sim *noc.Simulator, g *SpikeGraph, assign
 	if len(assign) != g.Neurons {
 		return nil, fmt.Errorf("snnmap: assignment covers %d of %d neurons", len(assign), g.Neurons)
 	}
-	csr := g.CSR()
+	csr := &g.CSR
 	if len(sc.multiplicity) < arch.Crossbars {
 		sc.multiplicity = make([]int, arch.Crossbars)
 	}
