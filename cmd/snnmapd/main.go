@@ -51,7 +51,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/fleet"
-	"repro/internal/fleet/resilience"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -104,7 +103,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		gossip     = fs.String("gossip", "", "comma-separated peer router base URLs whose /v1/fleet views and route tables are merged (router mode)")
 		warmRate   = fs.Int("warm-rate", 16, "join-time cache warming rate bound, entries/second (worker mode with -peers and -self; 0 disables)")
 		warmLimit  = fs.Int("warm-limit", 512, "max cache-index entries requested per peer by the join warmer")
-		chaosSpec  = fs.String("chaos-spec", "", "arm deterministic fault points, e.g. 'router.proxy=fail:2,worker.peerfetch=every:3+delay:50ms' (dev/chaos only)")
 
 		tracing   = fs.Bool("tracing", true, "record per-job span trees, served at GET /v1/jobs/{id}/trace")
 		traceCap  = fs.Int("trace-cap", 0, "span recorder ring capacity, finished spans kept (0 = default 4096)")
@@ -119,12 +117,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	if *version {
 		fmt.Fprintf(stdout, "snnmapd %s\n", buildinfo.Read())
 		return nil
-	}
-	if *chaosSpec != "" {
-		if err := resilience.ParseChaosSpec(*chaosSpec); err != nil {
-			return fmt.Errorf("%w: -chaos-spec: %v", errBadFlags, err)
-		}
-		slog.Warn("chaos fault points armed", "spec", *chaosSpec)
 	}
 	if *debugAddr != "" {
 		// Opt-in profiling surface, on its own listener so the pprof

@@ -75,7 +75,7 @@ func TestChaosKillWorkerMidJob(t *testing.T) {
 	spec := slowFleetSpec()
 	want := referenceCSV(t, spec)
 
-	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	rt, base := startRouter(t, workers)
 
 	st := submitVia(t, base, spec, http.StatusAccepted)
@@ -138,7 +138,7 @@ func TestChaosKillWorkerMidJob(t *testing.T) {
 // carries an explicit requeued marker, reattaches to the new worker and
 // ends with the terminal state from the re-execution.
 func TestChaosSSESurvivesRequeue(t *testing.T) {
-	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	rt, base := startRouter(t, workers)
 
 	st := submitVia(t, base, slowFleetSpec(), http.StatusAccepted)

@@ -61,7 +61,7 @@ func TestRouterRetryAfterDroppedResponse(t *testing.T) {
 		{"batch", "/v1/batches", service.BatchRequest{Jobs: specs}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false)
+			workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 			drop := &dropTransport{drop: map[string]bool{tc.path: true}}
 			rt, err := NewRouter(RouterConfig{
 				Peers:         workerURLs(workers),
@@ -121,7 +121,7 @@ func TestRouterRestartAdmitsFreshJobs(t *testing.T) {
 		{"batch", "/v1/batches", service.BatchRequest{Jobs: specs}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false)
+			workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 			for run := 1; run <= 2; run++ {
 				_, base := startRouter(t, workers) // a new process: its sequences start over
 				resp, body := postJSON(t, base+tc.path, tc.body)

@@ -91,8 +91,6 @@ type call struct {
 	// timeout bounds the call locally; unlike a ctx deadline it is never
 	// sent to the peer.
 	timeout time.Duration
-	// fault names the fault point fired before the request ("" none).
-	fault string
 	// limit bounds the response body: at most limit+1 bytes are read,
 	// and a body over limit is rejected whole.
 	limit int64
@@ -109,16 +107,11 @@ type reply struct {
 	body   []byte
 }
 
-// do sends the call with client. A failure before any response (fault
-// point, transport, timeout) leaves reply.code 0; a body that fails to
-// read or runs over the limit keeps the status and headers, with a nil
-// body and the error.
+// do sends the call with client. A failure before any response
+// (transport, timeout) leaves reply.code 0; a body that fails to read or
+// runs over the limit keeps the status and headers, with a nil body and
+// the error.
 func (c call) do(ctx context.Context, client *http.Client) (reply, error) {
-	if c.fault != "" {
-		if err := resilience.P(c.fault).FireCtx(ctx); err != nil {
-			return reply{}, err
-		}
-	}
 	rctx := ctx
 	if c.timeout > 0 {
 		var cancel context.CancelFunc

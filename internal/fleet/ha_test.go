@@ -36,7 +36,9 @@ func (r *testHARouter) kill() {
 
 // startHARouters boots n routers over the workers, each gossiping with
 // all the others, with a fast probe (and therefore replication) cadence.
-func startHARouters(t *testing.T, workers []*testWorker, n int, probe time.Duration) []*testHARouter {
+// client, when non-nil, carries every router's proxy, requeue, probe and
+// replication requests.
+func startHARouters(t *testing.T, workers []*testWorker, n int, probe time.Duration, client *http.Client) []*testHARouter {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -62,6 +64,7 @@ func startHARouters(t *testing.T, workers []*testWorker, n int, probe time.Durat
 			GossipPeers:   gossip,
 			ProbeInterval: probe,
 			FailThreshold: 2,
+			Client:        client,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -101,8 +104,8 @@ func TestChaosKillRouterMidJob(t *testing.T) {
 	spec := slowFleetSpec()
 	want := referenceCSV(t, spec)
 
-	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false)
-	routers := startHARouters(t, workers, 2, 50*time.Millisecond)
+	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
+	routers := startHARouters(t, workers, 2, 50*time.Millisecond, nil)
 	a, b := routers[0], routers[1]
 
 	st := submitVia(t, a.url, spec, http.StatusAccepted)
@@ -148,10 +151,10 @@ func TestChaosKillRouterMidJob(t *testing.T) {
 // router for an ID whose origin token it recognizes, and a plain 404
 // for a token belonging to no known sibling.
 func TestRouterRedirectBeforeReplication(t *testing.T) {
-	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	// A probe interval far beyond the test's lifetime: replication never
 	// pulls, so the sibling is guaranteed to be in the lag window.
-	routers := startHARouters(t, workers, 2, time.Hour)
+	routers := startHARouters(t, workers, 2, time.Hour, nil)
 	a, b := routers[0], routers[1]
 
 	st := submitVia(t, a.url, tinyFleetSpec(), http.StatusAccepted)

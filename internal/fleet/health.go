@@ -173,7 +173,7 @@ func (m *monitor) probeAll() {
 }
 
 func (m *monitor) probe(node string) bool {
-	rep, err := call{method: http.MethodGet, url: node + "/healthz", fault: fpProbe,
+	rep, err := call{method: http.MethodGet, url: node + "/healthz",
 		timeout: m.timeout, limit: maxSpecBytes}.do(context.Background(), m.client)
 	return err == nil && rep.code == http.StatusOK
 }

@@ -113,7 +113,7 @@ func TestMetricNameLint(t *testing.T) {
 	}
 	lintExposition(t, "worker", rec.Body.String())
 
-	workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	_, base := startRouter(t, workers)
 	resp, body := getBody(t, base+"/metrics")
 	if resp.StatusCode != 200 {

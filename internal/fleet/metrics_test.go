@@ -61,7 +61,7 @@ func TestWarmerMetricsGolden(t *testing.T) {
 // the worker's golden error body: both sides of the fleet speak one
 // error shape.
 func TestRouterNotFoundMatchesWorker(t *testing.T) {
-	workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	_, base := startRouter(t, workers)
 	resp, body := getBody(t, base+"/v1/jobs/job-999999")
 	if resp.StatusCode != http.StatusNotFound {

@@ -42,23 +42,22 @@ func NewPeerFetcher(self string, peers []string, vnodes int, client *http.Client
 		}
 		// The submitter's deadline bounds the fetch too: a peer hop must
 		// never outlive the request it is trying to speed up.
-		table, err := fetchTable(ctx, client, retry, fpPeerFetch, true, owner, hash)
+		table, err := fetchTable(ctx, client, retry, true, owner, hash)
 		return table, err == nil
 	}
 }
 
 // fetchTable pulls one cached table from peer — GET /v1/cache/{hash},
-// decoded by snnmap.ReadTableJSON — under retry, firing fault on every
-// attempt; deadline forwards ctx's deadline. It is the one operation
-// behind the worker's peer tier and the join warmer. Only a request that
-// got no answer is retried: a non-200 status (not cached there, owner
-// draining) or a body that is oversized or undecodable is a definitive
-// miss.
-func fetchTable(ctx context.Context, client *http.Client, retry resilience.Policy, fault string, deadline bool, peer, hash string) (*snnmap.Table, error) {
+// decoded by snnmap.ReadTableJSON — under retry; deadline forwards ctx's
+// deadline. It is the one operation behind the worker's peer tier and
+// the join warmer. Only a request that got no answer is retried: a
+// non-200 status (not cached there, owner draining) or a body that is
+// oversized or undecodable is a definitive miss.
+func fetchTable(ctx context.Context, client *http.Client, retry resilience.Policy, deadline bool, peer, hash string) (*snnmap.Table, error) {
 	var table *snnmap.Table
 	err := retry.Do(ctx, func(int) error {
 		rep, err := call{method: http.MethodGet, url: peer + "/v1/cache/" + hash,
-			deadline: deadline, fault: fault, limit: maxBatchBytes}.do(ctx, client)
+			deadline: deadline, limit: maxBatchBytes}.do(ctx, client)
 		switch {
 		case rep.code == 0:
 			return err

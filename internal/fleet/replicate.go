@@ -128,7 +128,7 @@ func (rt *Router) replicateLoop(interval time.Duration) {
 // silent — the peer may be down, and replication is best-effort by
 // design (the 307 fallback and client retries cover the gap).
 func (rt *Router) pullRoutes(peer string) {
-	rep, _ := call{method: http.MethodGet, url: peer + "/v1/fleet/routes", fault: fpReplicate,
+	rep, _ := call{method: http.MethodGet, url: peer + "/v1/fleet/routes",
 		timeout: 5 * time.Second, limit: maxBatchBytes}.do(context.Background(), rt.client)
 	var tbl routeTable
 	if rep.decode(&tbl) {

@@ -100,3 +100,73 @@ func TestWithDeadlineMalformedIgnored(t *testing.T) {
 		t.Fatal("malformed deadline header rejected the request")
 	}
 }
+
+// FuzzDeadlineHeader fuzzes the X-Deadline header, a client input:
+//
+//   - ParseDeadline and WithDeadline never panic, whatever the value;
+//   - an accepted value is time.UnixMilli of the parsed integer;
+//   - WithDeadline never extends an earlier context deadline
+//     (existingMs, when non-zero, sets one that many ms from now);
+//   - it answers 504 only when the deadline is not after now, and
+//     always when a spent deadline is the tightest one.
+func FuzzDeadlineHeader(f *testing.F) {
+	soon := strconv.FormatInt(time.Now().Add(5*time.Second).UnixMilli(), 10)
+	spent := strconv.FormatInt(time.Now().Add(-time.Second).UnixMilli(), 10)
+	for _, seed := range []struct {
+		v          string
+		existingMs int64
+	}{
+		{"1000", 0}, {soon, 0}, {soon, 100}, {soon, -100}, {spent, 0}, {spent, 100}, {"1000", 100},
+		{"", 0}, {"not-a-timestamp", 0}, {"+42", 0}, {"-1", 0}, {" 1", 0},
+		{"9223372036854775807", 0}, {"-9223372036854775808", 50},
+		{"99999999999999999999", 0},
+	} {
+		f.Add(seed.v, seed.existingMs)
+	}
+	f.Fuzz(func(t *testing.T, v string, existingMs int64) {
+		req := httptest.NewRequest(http.MethodGet, "http://x/", nil)
+		req.Header.Set(DeadlineHeader, v)
+		dl, ok := ParseDeadline(req)
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if ok != (err == nil) || ok && !dl.Equal(time.UnixMilli(ms)) {
+			t.Fatalf("ParseDeadline(%q) = %v, %v; strconv says %d, %v", v, dl, ok, ms, err)
+		}
+
+		var existing time.Time
+		if existingMs != 0 {
+			existing = time.Now().Add(time.Duration(existingMs%(1<<40)) * time.Millisecond)
+			ctx, cancel := context.WithDeadline(req.Context(), existing)
+			defer cancel()
+			req = req.WithContext(ctx)
+		}
+		var seen time.Time
+		var called, had bool
+		h := WithDeadline(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			called = true
+			seen, had = r.Context().Deadline()
+		}))
+		rec := httptest.NewRecorder()
+		before := time.Now()
+		h.ServeHTTP(rec, req)
+		after := time.Now()
+
+		if rec.Code == http.StatusGatewayTimeout {
+			if called || !ok || dl.After(after) {
+				t.Fatalf("X-Deadline %q answered 504 (handler ran %v) with deadline %v at %v", v, called, dl, after)
+			}
+			return
+		}
+		if !called {
+			t.Fatalf("X-Deadline %q: handler skipped with status %d", v, rec.Code)
+		}
+		if ok && !dl.After(before) && (existing.IsZero() || !existing.Before(dl)) {
+			t.Fatalf("X-Deadline %q: spent deadline %v was handled", v, dl)
+		}
+		if !existing.IsZero() && (!had || seen.After(existing)) {
+			t.Fatalf("X-Deadline %q extended the context deadline %v to %v", v, existing, seen)
+		}
+		if ok && (!had || seen.After(dl)) {
+			t.Fatalf("X-Deadline %q: handler deadline %v is past the header's %v", v, seen, dl)
+		}
+	})
+}

@@ -1,16 +1,6 @@
 // Package resilience is the fleet's shared failure-handling toolkit,
-// three small pieces every router→worker and worker→worker RPC runs
+// two small pieces every router→worker and worker→worker RPC runs
 // through:
-//
-//   - Fault points (Point): named injection sites compiled into the
-//     production code paths — router proxying, peer fetch, requeue,
-//     health probe, cache warm. A disarmed point is a counter increment
-//     and one atomic load; an armed point deterministically injects an
-//     error (fail the first N hits, or every Kth) and/or a delay. Armed
-//     via test hooks (Arm/Disarm) or the `snnmapd -chaos-spec` dev flag
-//     (ParseChaosSpec). Every point counts hits and fires, so a chaos
-//     suite can assert its faults actually exercised the paths it armed
-//     (coverage, not vibes).
 //
 //   - Retry policy (Policy): capped exponential backoff with
 //     deterministic jitter, context-aware sleeping, and a Permanent
@@ -26,4 +16,8 @@
 //     request context (never extending an existing deadline), so a
 //     client's time budget bounds every hop of a fan-out instead of
 //     resetting at each one.
+//
+// Faults are injected from the outside: the fleet's chaos tests wrap
+// each peer client's transport, so no injection site is compiled into
+// the production paths.
 package resilience

@@ -362,12 +362,11 @@ func (rt *Router) lookup(id string) (*route, bool) {
 }
 
 // proxied is a router-to-worker job RPC: the caller's deadline rides
-// along as X-Deadline so the worker shares the client's time budget, its
-// span as traceparent so the worker-side spans land in the same trace,
-// and the router.proxy fault point fires first — an armed spec surfaces
-// exactly like a network failure, on every proxy path at once.
+// along as X-Deadline so the worker shares the client's time budget, and
+// its span as traceparent so the worker-side spans land in the same
+// trace.
 func proxied(method, url string, limit int64) call {
-	return call{method: method, url: url, deadline: true, trace: true, fault: fpProxy, limit: limit}
+	return call{method: method, url: url, deadline: true, trace: true, limit: limit}
 }
 
 // proxyFailed counts a worker RPC that got no answer: a proxy error, and
@@ -531,12 +530,6 @@ func (rt *Router) requeueRoute(ro *route, failed string, force bool) bool {
 	ctx := obs.ContextWith(context.Background(), sp)
 	for _, n := range rt.successors(ro.hash) {
 		if n == failed {
-			continue
-		}
-		// The requeue fault point fires per successor attempt; an armed
-		// spec skips this candidate exactly as a failed resubmission would.
-		if resilience.P(fpRequeue).FireCtx(ctx) != nil {
-			rt.metrics.proxyErrors.Inc()
 			continue
 		}
 		// Any answer but an acceptance (shed, draining, refused, or no
@@ -1038,12 +1031,6 @@ type FleetView struct {
 	Nodes    []NodeView `json:"nodes"`
 	Routes   int        `json:"routes"`
 	Requeues int64      `json:"requeues"`
-	// Chaos reports the fault-injection sites this process has hit —
-	// per-site hit/fired counters plus the armed flag — so a -chaos-spec
-	// run's outcomes are observable without grepping logs. Empty when no
-	// site has registered yet. (Gossip peers decode only Nodes; the
-	// extra field is ignored by the merge.)
-	Chaos map[string]resilience.PointStats `json:"chaos,omitempty"`
 }
 
 func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
@@ -1058,7 +1045,6 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 		Nodes:    views,
 		Routes:   routes,
 		Requeues: rt.metrics.requeues.Value(),
-		Chaos:    resilience.Snapshot(),
 	})
 }
 

@@ -86,8 +86,9 @@ func (h *fetchHolder) fetch(ctx context.Context, hash string) (*snnmap.Table, bo
 }
 
 // startWorkers boots n workers; when peerFetch is set, each gets the
-// fleet's tiered-cache hook over the full member list.
-func startWorkers(t *testing.T, n int, mkCfg func(i int) service.Config, peerFetch bool) []*testWorker {
+// fleet's tiered-cache hook over the full member list, fetching with
+// client (nil: NewPeerFetcher's default).
+func startWorkers(t *testing.T, n int, mkCfg func(i int) service.Config, peerFetch bool, client *http.Client) []*testWorker {
 	t.Helper()
 	workers := make([]*testWorker, n)
 	urls := make([]string, n)
@@ -111,7 +112,7 @@ func startWorkers(t *testing.T, n int, mkCfg func(i int) service.Config, peerFet
 	}
 	if peerFetch {
 		for _, w := range workers {
-			w.fetch.set(NewPeerFetcher(w.url, urls, 0, nil))
+			w.fetch.set(NewPeerFetcher(w.url, urls, 0, client))
 		}
 	}
 	return workers
@@ -250,7 +251,7 @@ func resultVia(t *testing.T, base, id string) []byte {
 // identical spec resubmitted through the router hits that worker's
 // result cache — affinity IS the cache strategy.
 func TestRouterAffinityAndCache(t *testing.T) {
-	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	_, base := startRouter(t, workers)
 
 	spec := tinyFleetSpec()
@@ -322,7 +323,7 @@ func TestRouterAffinityAndCache(t *testing.T) {
 // fetch — hit counters prove the path (peer hit at the entry, serve at
 // the owner, zero session builds at the entry).
 func TestPeerFetchAcrossEntryNodes(t *testing.T) {
-	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, true)
+	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, true, nil)
 	_, base := startRouter(t, workers)
 
 	spec := tinyFleetSpec()
@@ -371,7 +372,7 @@ func TestPeerFetchAcrossEntryNodes(t *testing.T) {
 // of buffering or dropping, so the slow client still sees the complete
 // history ending in the terminal state event.
 func TestRouterSSESlowSubscriber(t *testing.T) {
-	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	_, base := startRouter(t, workers)
 
 	st := submitVia(t, base, slowFleetSpec(), http.StatusAccepted)
@@ -421,7 +422,7 @@ func TestRouterSSESlowSubscriber(t *testing.T) {
 // the worker once and report done with the result link and finish time
 // instead of the status stored at submit.
 func TestRouterStatusAfterSSE(t *testing.T) {
-	workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	_, base := startRouter(t, workers)
 
 	st := submitVia(t, base, tinyFleetSpec(), http.StatusAccepted)
@@ -453,7 +454,7 @@ func TestRouterStatusAfterSSE(t *testing.T) {
 // mid-replay: the cancel lands on the owning worker while the job is
 // running and the job reaches canceled promptly on both sides.
 func TestRouterCancelPropagates(t *testing.T) {
-	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	_, base := startRouter(t, workers)
 
 	st := submitVia(t, base, slowFleetSpec(), http.StatusAccepted)
@@ -502,7 +503,7 @@ func TestRouterCancelPropagates(t *testing.T) {
 // ring owner, statuses come back in input order under router IDs,
 // duplicates collapse, and every result is fetchable through the router.
 func TestRouterBatchScatter(t *testing.T) {
-	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	rt, base := startRouter(t, workers)
 
 	specs := make([]snnmap.JobSpec, 0, 5)
@@ -572,7 +573,7 @@ func TestRouterBatchScatter(t *testing.T) {
 func TestRouterOverloadRelay(t *testing.T) {
 	workers := startWorkers(t, 1, func(int) service.Config {
 		return service.Config{Workers: 1, QueueDepth: 1}
-	}, false)
+	}, false, nil)
 	rt, base := startRouter(t, workers)
 
 	running := submitVia(t, base, slowFleetSpec(), http.StatusAccepted)
@@ -609,7 +610,7 @@ func TestRouterOverloadRelay(t *testing.T) {
 // 504 before any proxying, and a live budget is forwarded so the worker
 // hop observes the same clock the client started.
 func TestRouterDeadlineAtEdge(t *testing.T) {
-	workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 1, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	_, base := startRouter(t, workers)
 
 	b, err := json.Marshal(tinyFleetSpec())
@@ -661,7 +662,7 @@ func TestRouterDeadlineAtEdge(t *testing.T) {
 // intent through the router collapses onto the worker's already-running
 // job instead of forking a twin under the router's own retry key.
 func TestRouterForwardsClientIdempotencyKey(t *testing.T) {
-	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	rt, base := startRouter(t, workers)
 
 	b, err := json.Marshal(slowFleetSpec())
@@ -792,7 +793,7 @@ func specOwnedBy(t *testing.T, ring *Ring, base snnmap.JobSpec, owner string, us
 func TestRouterBatchSpillAndRefusal(t *testing.T) {
 	workers := startWorkers(t, 2, func(int) service.Config {
 		return service.Config{Workers: 1, QueueDepth: 1}
-	}, false)
+	}, false, nil)
 	rt, base := startRouter(t, workers)
 	ring := NewRing(0, workerURLs(workers)...)
 	nodeA, nodeB := workers[0].url, workers[1].url

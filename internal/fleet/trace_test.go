@@ -75,7 +75,7 @@ func fleetSpanNames(tree *obs.Tree) map[string]int {
 // span and the worker's job, queue-wait and pipeline-stage spans —
 // retrievable from the router.
 func TestTraceAcrossRouterHop(t *testing.T) {
-	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	_, base := startRouter(t, workers)
 
 	st := submitTraced(t, base, tinyFleetSpec())
@@ -120,7 +120,7 @@ func TestTraceAcrossRouterHop(t *testing.T) {
 // the failover — because the requeue resubmission re-propagates the
 // route's stored span context.
 func TestTraceSurvivesRequeue(t *testing.T) {
-	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	rt, base := startRouter(t, workers)
 
 	st := submitTraced(t, base, slowFleetSpec())
@@ -161,7 +161,7 @@ func TestTraceSurvivesRequeue(t *testing.T) {
 // shard, each scattered worker batch hangs its job spans under its
 // scatter span, and the whole fan-out shares the client's trace ID.
 func TestTraceBatchScatterSiblings(t *testing.T) {
-	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false)
+	workers := startWorkers(t, 3, func(int) service.Config { return service.Config{Workers: 1} }, false, nil)
 	_, base := startRouter(t, workers)
 
 	a := tinyFleetSpec()

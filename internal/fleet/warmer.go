@@ -140,9 +140,8 @@ func (w *Warmer) Run(ctx context.Context) {
 	}
 	w.planned.Store(int64(len(plan)))
 
-	// Transfer, one entry per rate tick (worker.warm fires per entry). A
-	// ticker (not a sleep-per-item loop) keeps the bound exact however
-	// long individual fetches take.
+	// Transfer, one entry per rate tick. A ticker (not a sleep-per-item
+	// loop) keeps the bound exact however long individual fetches take.
 	interval := time.Second / time.Duration(w.cfg.Rate)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -154,7 +153,7 @@ func (w *Warmer) Run(ctx context.Context) {
 			case <-tick.C:
 			}
 		}
-		table, err := fetchTable(ctx, w.cfg.Client, w.retry, fpWarm, false, p.peer, p.hash)
+		table, err := fetchTable(ctx, w.cfg.Client, w.retry, false, p.peer, p.hash)
 		if err != nil {
 			w.errors.Add(1)
 			continue

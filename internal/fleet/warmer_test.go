@@ -35,7 +35,7 @@ type warmFixture struct {
 // and nOther it will not, all computed (and so cached) via the router.
 func newWarmFixture(t *testing.T, nOwned, nOther int) *warmFixture {
 	t.Helper()
-	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 2} }, false)
+	workers := startWorkers(t, 2, func(int) service.Config { return service.Config{Workers: 2} }, false, nil)
 	_, base := startRouter(t, workers)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

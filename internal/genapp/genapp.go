@@ -261,15 +261,11 @@ func Build(s Spec) (*apps.App, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("genapp: %s generated invalid graph: %w", s.Family, err)
 	}
-	app := &apps.App{
+	return &apps.App{
 		Name:        s.Name(),
 		Description: descriptions[s.Family],
 		Graph:       g,
-	}
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
-	return app, nil
+	}, nil
 }
 
 // trains draws a mean rate per neuron under the profile, then a Poisson (or

@@ -39,7 +39,7 @@ func StartChild(ctx context.Context, name string) (context.Context, *Span) {
 }
 
 // AddEvent records an event on the span carried by ctx, if any. This is
-// the hook fault points and retry loops use: cheap when tracing is off,
+// the hook the router's spill walk uses: cheap when tracing is off,
 // attached to the right span when it is on.
 func AddEvent(ctx context.Context, name string, attrs ...Attr) {
 	FromContext(ctx).AddEvent(name, attrs...)
@@ -70,6 +70,10 @@ func ParseTraceparent(v string) (SpanContext, error) {
 	sid, err := ParseSpanID(v[36:52])
 	if err != nil {
 		return SpanContext{}, err
+	}
+	var flags [1]byte
+	if !decodeLowerHex(flags[:], v[53:]) {
+		return SpanContext{}, fmt.Errorf("obs: traceparent flags %q: want 2 lowercase hex digits", v[53:])
 	}
 	sc := SpanContext{TraceID: tid, SpanID: sid}
 	if !sc.Valid() {

@@ -21,7 +21,7 @@ func TestSpanTreeRoundTrip(t *testing.T) {
 	a.End()
 	b := root.StartChild("run")
 	c := b.StartChild("simulate")
-	c.AddEvent("fault.injected", String("site", "router.proxy"))
+	c.AddEvent("spill", String("node", "http://w1"))
 	c.End()
 	b.End()
 	root.End()
@@ -50,10 +50,10 @@ func TestSpanTreeRoundTrip(t *testing.T) {
 			sim = n.Children[0]
 		}
 	}
-	if sim == nil || len(sim.Events) != 1 || sim.Events[0].Name != "fault.injected" {
+	if sim == nil || len(sim.Events) != 1 || sim.Events[0].Name != "spill" {
 		t.Fatalf("simulate span lost its event: %+v", sim)
 	}
-	if sim.Events[0].Attrs["site"] != "router.proxy" {
+	if sim.Events[0].Attrs["node"] != "http://w1" {
 		t.Fatalf("event attrs = %v", sim.Events[0].Attrs)
 	}
 	// JSON round-trip keeps the shape.
@@ -103,6 +103,10 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", // bad version
 		"00-00000000000000000000000000000000-0000000000000000-01", // all-zero
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b716920333x-01", // bad hex
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // non-hex flags
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01", // uppercase span id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A", // uppercase flags
 	}
 	for _, v := range bad {
 		if _, err := ParseTraceparent(v); err == nil {
@@ -117,6 +121,36 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 	if sc.Traceparent() != good {
 		t.Fatalf("re-render = %q, want %q", sc.Traceparent(), good)
 	}
+}
+
+// FuzzTraceparent pins the header parser on arbitrary input: it never
+// panics, and every accepted value re-renders byte-identical except for
+// the flags, which always render as the sampled 01.
+func FuzzTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-0000000000000000-01",
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-short-1234-01",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, err := ParseTraceparent(v)
+		if err != nil {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context", v)
+		}
+		if got, want := sc.Traceparent(), v[:53]+"01"; got != want {
+			t.Fatalf("ParseTraceparent(%q) re-renders as %q, want %q", v, got, want)
+		}
+	})
 }
 
 func TestNilSafety(t *testing.T) {
@@ -234,14 +268,14 @@ func TestWriteText(t *testing.T) {
 	root := rec.StartRoot("job")
 	c := root.StartChild("simulate")
 	c.SetAttr(Int("workers", 4))
-	c.AddEvent("fault.injected")
+	c.AddEvent("spill")
 	c.End()
 	root.End()
 	tid := root.Context().TraceID
 	var buf bytes.Buffer
 	BuildTree(tid.String(), rec.Nodes(tid)).WriteText(&buf)
 	out := buf.String()
-	for _, want := range []string{"trace " + tid.String(), "job", "simulate", "workers=4", "! fault.injected"} {
+	for _, want := range []string{"trace " + tid.String(), "job", "simulate", "workers=4", "! spill"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text render missing %q:\n%s", want, out)
 		}

@@ -44,28 +44,38 @@ func (s SpanID) IsZero() bool { return s == SpanID{} }
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 func (s SpanID) String() string  { return hex.EncodeToString(s[:]) }
 
-// ParseTraceID decodes a 32-hex-digit trace ID.
+// ParseTraceID decodes a trace ID of 32 lowercase hex digits.
 func ParseTraceID(s string) (TraceID, error) {
 	var t TraceID
-	if len(s) != 32 {
-		return t, fmt.Errorf("obs: trace id %q: want 32 hex digits", s)
-	}
-	if _, err := hex.Decode(t[:], []byte(s)); err != nil {
-		return TraceID{}, fmt.Errorf("obs: trace id %q: %w", s, err)
+	if !decodeLowerHex(t[:], s) {
+		return TraceID{}, fmt.Errorf("obs: trace id %q: want 32 lowercase hex digits", s)
 	}
 	return t, nil
 }
 
-// ParseSpanID decodes a 16-hex-digit span ID.
+// ParseSpanID decodes a span ID of 16 lowercase hex digits.
 func ParseSpanID(s string) (SpanID, error) {
 	var id SpanID
-	if len(s) != 16 {
-		return id, fmt.Errorf("obs: span id %q: want 16 hex digits", s)
-	}
-	if _, err := hex.Decode(id[:], []byte(s)); err != nil {
-		return SpanID{}, fmt.Errorf("obs: span id %q: %w", s, err)
+	if !decodeLowerHex(id[:], s) {
+		return SpanID{}, fmt.Errorf("obs: span id %q: want 16 lowercase hex digits", s)
 	}
 	return id, nil
+}
+
+// decodeLowerHex fills dst from s and reports whether s is exactly
+// 2*len(dst) lowercase hex digits, the only spelling W3C Trace Context
+// allows.
+func decodeLowerHex(dst []byte, s string) bool {
+	if len(s) != 2*len(dst) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
 }
 
 // newTraceID returns a fresh random trace ID. crypto/rand failure is
@@ -123,8 +133,8 @@ func Float(k string, v float64) Attr { return Attr{Key: k, Value: strconv.Format
 // DurationAttr builds a duration attribute rendered in Go syntax.
 func DurationAttr(k string, d time.Duration) Attr { return Attr{Key: k, Value: d.String()} }
 
-// Event is a point-in-time annotation inside a span (a fault injection,
-// a retry, a redirect).
+// Event is a point-in-time annotation inside a span (a spill to a ring
+// successor, say).
 type Event struct {
 	Name  string    `json:"name"`
 	Time  time.Time `json:"time"`
